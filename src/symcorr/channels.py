@@ -47,7 +47,8 @@ def kraus_operators(spec: ChannelSpec) -> list:
         k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - r)]], dtype=complex)
         k1 = np.array([[0.0, 0.0], [0.0, np.sqrt(r)]], dtype=complex)
     total = k0.conj().T @ k0 + k1.conj().T @ k1
-    assert np.abs(total - np.eye(2)).max() < _COMPLETENESS_TOL
+    if not np.abs(total - np.eye(2)).max() < _COMPLETENESS_TOL:
+        raise ValueError(f"Kraus operators are not complete within {_COMPLETENESS_TOL}")
     return [k0, k1]
 
 

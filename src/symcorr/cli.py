@@ -22,7 +22,7 @@ from .genuine import genuine_correlations
 from .global_discord import global_discord
 from .nonlocality import bounds as svetlichny_bounds
 from .nonlocality import max_violation
-from .qstate import Cut, DensityMatrix, QubitCapError, mutual_information
+from .qstate import DensityMatrix, QubitCapError, enumerate_cuts, mutual_information
 from .states import ghz_ad_closed, ghz_pd_closed, thermo_state
 
 MEASURES = ("genuine_discord", "genuine_classical", "global_discord", "svetlichny", "mutual_info")
@@ -67,18 +67,6 @@ def _build_state(family: str, n: int, value: float, alpha1, strict: bool) -> Den
     return ghz_pd_closed(n, alpha1, value, strict=strict)
 
 
-def _min_mutual_info(rho: DensityMatrix, mode: str) -> float:
-    n = rho.n_qubits
-    if mode == "symmetric":
-        cuts = [Cut.of(n, frozenset(range(n - k, n))) for k in range(1, n // 2 + 1)]
-    else:
-        cuts = [
-            Cut.of(n, frozenset(q for q in range(n - 1) if (bits >> q) & 1))
-            for bits in range(1, 2 ** (n - 1))
-        ]
-    return min(mutual_information(rho, cut) for cut in cuts)
-
-
 def _compute_measures(rho: DensityMatrix, measures, mode: str, seed: int):
     values, angles = {}, {}
     if "genuine_discord" in measures or "genuine_classical" in measures:
@@ -100,7 +88,8 @@ def _compute_measures(rho: DensityMatrix, measures, mode: str, seed: int):
         values["svetlichny"] = value
         angles["svetlichny"] = {"settings": [list(p) for p in settings.pairs]}
     if "mutual_info" in measures:
-        values["mutual_info"] = _min_mutual_info(rho, mode)
+        cuts = enumerate_cuts(rho.n_qubits, mode)
+        values["mutual_info"] = min(mutual_information(rho, cut) for cut in cuts)
     return values, angles
 
 

@@ -23,10 +23,10 @@ from .qstate import (
     DensityMatrix,
     PureState,
     conditional_state,
-    is_invariant_under,
+    enumerate_cuts,
     mutual_information,
     partial_trace,
-    permutation_unitary,
+    require_permutation_symmetric,
     von_neumann_entropy,
 )
 from .states import symmetric_basis
@@ -62,17 +62,6 @@ def _clamp_nonneg(x: float, what: str) -> float:
     if x < _NEGATIVE_SLACK:
         raise ValueError(f"{what} evaluated to {x}, below the numerical slack")
     return max(x, 0.0)
-
-
-def _require_permutation_symmetric(rho: DensityMatrix, context: str) -> None:
-    n = rho.n_qubits
-    swap = permutation_unitary(n, [1, 0] + list(range(2, n)))
-    cycle = permutation_unitary(n, [(i + 1) % n for i in range(n)])
-    if not (is_invariant_under(rho, swap) and is_invariant_under(rho, cycle)):
-        raise ValueError(
-            f"{context} requires a permutation-invariant state; "
-            "use mode='general' (brute-force oracle) for arbitrary states"
-        )
 
 
 def _symmetric_conditional_entropy(rho: DensityMatrix, cut: Cut):
@@ -113,6 +102,18 @@ def _symmetric_discord(rho: DensityMatrix, cut: Cut) -> tuple[float, float]:
     return discord, theta
 
 
+def _cut_discord(rho: DensityMatrix, mode: str, context: str):
+    """The per-cut discord for `mode`, as cut -> (discord, optimal_theta or None)."""
+    if mode == "symmetric":
+        require_permutation_symmetric(rho, context)
+        return lambda cut: _symmetric_discord(rho, cut)
+    if mode == "general":
+        from .oracle import DEFAULT_CONFIG, oracle_bipartite_discord
+
+        return lambda cut: (oracle_bipartite_discord(rho, cut, DEFAULT_CONFIG), None)
+    raise ValueError(f"mode must be 'symmetric' or 'general', got {mode!r}")
+
+
 def bipartite_discord(
     rho: DensityMatrix, cut: Cut, mode: str = "symmetric"
 ) -> tuple[float, Optional[float]]:
@@ -125,33 +126,19 @@ def bipartite_discord(
     """
     if cut.n_qubits != rho.n_qubits:
         raise ValueError("cut does not match the state's qubit count")
-    if mode == "general":
-        from .oracle import DEFAULT_CONFIG, oracle_bipartite_discord
-
-        return oracle_bipartite_discord(rho, cut, DEFAULT_CONFIG), None
-    if mode != "symmetric":
-        raise ValueError(f"mode must be 'symmetric' or 'general', got {mode!r}")
-    _require_permutation_symmetric(rho, "symmetric-mode discord")
-    return _symmetric_discord(rho, cut)
+    return _cut_discord(rho, mode, "symmetric-mode discord")(cut)
 
 
-def _direction_min(rho, cut, mode, config):
-    """Discord for the better of the two measurement directions of a cut."""
-    if mode == "symmetric":
-        candidates = [(cut, *_symmetric_discord(rho, cut))]
-    else:
-        from .oracle import oracle_bipartite_discord
+def _direction_min(discord, cut: Cut, mode: str):
+    """(cut, discord, theta) for the better of the two measurement directions.
 
-        candidates = [(cut, oracle_bipartite_discord(rho, cut, config), None)]
-    flipped = Cut(cut.remainder, cut.measured)
+    The flipped cut is tried when the blocks differ in size or, in general
+    mode, always; equal symmetric blocks measure the same way from either side.
+    """
+    cuts = [cut]
     if len(cut.measured) != len(cut.remainder) or mode == "general":
-        if mode == "symmetric":
-            candidates.append((flipped, *_symmetric_discord(rho, flipped)))
-        else:
-            from .oracle import oracle_bipartite_discord
-
-            candidates.append((flipped, oracle_bipartite_discord(rho, flipped, config), None))
-    return min(candidates, key=lambda item: item[1])
+        cuts.append(Cut(cut.remainder, cut.measured))
+    return min(((c, *discord(c)) for c in cuts), key=lambda item: item[1])
 
 
 def genuine_correlations(rho: DensityMatrix, mode: str = "symmetric") -> GenuineReport:
@@ -167,26 +154,13 @@ def genuine_correlations(rho: DensityMatrix, mode: str = "symmetric") -> Genuine
     n = rho.n_qubits
     if n < 2:
         raise ValueError("genuine correlations need at least 2 qubits")
-    config = None
-    if mode == "symmetric":
-        _require_permutation_symmetric(rho, "genuine_correlations")
-        cuts = [Cut.of(n, frozenset(range(n - k, n))) for k in range(1, n // 2 + 1)]
-    elif mode == "general":
-        from .oracle import DEFAULT_CONFIG
-
-        config = DEFAULT_CONFIG
-        # subsets of qubits 0..n-2 hit each unordered bipartition exactly once
-        cuts = []
-        for bits in range(1, 2 ** (n - 1)):
-            block = frozenset(q for q in range(n - 1) if (bits >> q) & 1)
-            cuts.append(Cut.of(n, block))
-    else:
-        raise ValueError(f"mode must be 'symmetric' or 'general', got {mode!r}")
+    cuts = enumerate_cuts(n, mode)
+    discord_of = _cut_discord(rho, mode, "genuine_correlations")
 
     reports = []
     for cut in cuts:
         mi = _clamp_nonneg(mutual_information(rho, cut), "mutual information")
-        best_cut, discord, theta = _direction_min(rho, cut, mode, config)
+        best_cut, discord, theta = _direction_min(discord_of, cut, mode)
         discord = min(discord, mi)  # optimizer noise must not push D past MI
         reports.append(
             CutReport(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .optim import golden_section_min
 from .qstate import (
     DensityMatrix,
     partial_trace,
-    shannon_entropy,
+    require_permutation_symmetric,
     von_neumann_entropy,
 )
 
@@ -62,16 +62,17 @@ class RotationAngles:
         return len(self.pairs)
 
 
-def rotation_matrix(theta: float, phi: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array(
-        [[c, s * np.exp(1j * phi)], [-s * np.exp(-1j * phi), c]], dtype=complex
-    )
-
-
-def _dephased_probs(data: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Diagonal of basis^dag @ data @ basis, i.e. the outcome distribution."""
-    return (basis.conj() * (data @ basis)).sum(axis=0).real
+def rotation_matrix(theta, phi) -> np.ndarray:
+    """R(theta, phi) as a 2 x 2 matrix; equal-shape angle arrays give a stack of them."""
+    theta = np.asarray(theta, dtype=float)
+    c, s = np.cos(theta), np.sin(theta)
+    e = np.exp(1j * np.asarray(phi, dtype=float))
+    r = np.empty(theta.shape + (2, 2), dtype=complex)
+    r[..., 0, 0] = c
+    r[..., 0, 1] = s * e
+    r[..., 1, 0] = -s * e.conj()
+    r[..., 1, 1] = c
+    return r
 
 
 def dephase_in_rotated_basis(rho: DensityMatrix, angles: RotationAngles) -> DensityMatrix:
@@ -79,7 +80,7 @@ def dephase_in_rotated_basis(rho: DensityMatrix, angles: RotationAngles) -> Dens
     if angles.n_qubits != rho.n_qubits:
         raise ValueError("angle count does not match the state's qubit count")
     basis = reduce(np.kron, [rotation_matrix(t, p) for t, p in angles.pairs])
-    probs = _dephased_probs(rho.data, basis)
+    probs = (basis.conj() * (rho.data @ basis)).sum(axis=0).real  # diag of basis^dag rho basis
     out = (basis * probs) @ basis.conj().T
     out = (out + out.conj().T) / 2.0
     return DensityMatrix(rho.n_qubits, out)
@@ -102,17 +103,6 @@ def global_discord_thermo_analytic(n: int, p0: float) -> float:
         return t * math.log2(t) if t > 0.0 else 0.0
 
     return plog(x) + plog(y) - (x + y) * math.log2((x + y) / 2.0)
-
-
-def _rotation_batch(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    c, s = np.cos(thetas), np.sin(thetas)
-    e = np.exp(1j * phis)
-    r = np.empty((thetas.size, 2, 2), dtype=complex)
-    r[:, 0, 0] = c
-    r[:, 0, 1] = s * e
-    r[:, 1, 0] = -s * e.conj()
-    r[:, 1, 1] = c
-    return r
 
 
 def _entropy_rows(probs: np.ndarray) -> np.ndarray:
@@ -147,25 +137,31 @@ def _shared_rotation_probs(paired: np.ndarray, n: int, r: np.ndarray) -> np.ndar
     return p.reshape(-1, 2**n).real
 
 
-def _symmetric_grid_scan(data, d0, n, s_rho, s_rho0) -> tuple[float, float, float]:
-    """Best (value, theta, phi) over the shared-angle 64 x 64 grid."""
+def _shared_angle_values(paired, d0, n, s_rho, s_rho0, thetas, phis) -> np.ndarray:
+    """Global-discord objective at each shared (theta, phi) pair of the arrays.
+
+    S(Pi(rho)) - S(rho) - n [S(Pi(rho_0)) - S(rho_0)], with rho given as its
+    `_paired_tensor` and rho_0 as the single-qubit reduced matrix `d0`.
+    """
+    r = rotation_matrix(thetas, phis)
+    glob = _entropy_rows(_shared_rotation_probs(paired, n, r)) - s_rho
+    local_probs = np.einsum("gak,ab,gbk->gk", r.conj(), d0, r).real
+    return glob - n * (_entropy_rows(local_probs) - s_rho0)
+
+
+def _symmetric_grid_scan(values) -> tuple[float, float, float]:
+    """Best (value, theta, phi) of `values(thetas, phis)` over the 64 x 64 grid."""
     thetas = np.linspace(0.0, math.pi / 2.0, _THETA_GRID + 1)[1:]
     phis = np.linspace(0.0, _TWO_PI, _PHI_GRID, endpoint=False)
     tt, pp = [a.reshape(-1) for a in np.meshgrid(thetas, phis, indexing="ij")]
-    paired = _paired_tensor(data, n)
     best = (math.inf, thetas[-1], 0.0)
     for lo in range(0, tt.size, _GRID_CHUNK):
         t_chunk = tt[lo : lo + _GRID_CHUNK]
         p_chunk = pp[lo : lo + _GRID_CHUNK]
-        r = _rotation_batch(t_chunk, p_chunk)
-        probs = _shared_rotation_probs(paired, n, r)
-        glob = _entropy_rows(probs) - s_rho
-        local_probs = np.einsum("gak,ab,gbk->gk", r.conj(), d0, r).real
-        local = _entropy_rows(local_probs) - s_rho0
-        values = glob - n * local
-        i = int(np.argmin(values))
-        if values[i] < best[0]:
-            best = (float(values[i]), float(t_chunk[i]), float(p_chunk[i]))
+        chunk = values(t_chunk, p_chunk)
+        i = int(np.argmin(chunk))
+        if chunk[i] < best[0]:
+            best = (float(chunk[i]), float(t_chunk[i]), float(p_chunk[i]))
     return best
 
 
@@ -193,23 +189,18 @@ def global_discord(
         return oracle_global_discord_full(rho, DEFAULT_CONFIG)
     if mode != "symmetric":
         raise ValueError(f"mode must be 'symmetric' or 'general', got {mode!r}")
-    from .genuine import _require_permutation_symmetric
-
-    _require_permutation_symmetric(rho, "symmetric-mode global discord")
+    require_permutation_symmetric(rho, "symmetric-mode global discord")
     n = rho.n_qubits
-    s_rho = von_neumann_entropy(rho)
     rho0 = partial_trace(rho, {0})
-    s_rho0 = von_neumann_entropy(rho0)
-    data, d0 = rho.data, rho0.data
+    values = partial(
+        _shared_angle_values, _paired_tensor(rho.data, n), rho0.data, n,
+        von_neumann_entropy(rho), von_neumann_entropy(rho0),
+    )
 
     def objective(theta: float, phi: float) -> float:
-        r = rotation_matrix(theta, phi)
-        basis = reduce(np.kron, [r] * n)
-        glob = shannon_entropy(_dephased_probs(data, basis)) - s_rho
-        local = shannon_entropy(_dephased_probs(d0, r)) - s_rho0
-        return glob - n * local
+        return float(values(np.array([theta]), np.array([phi]))[0])
 
-    _, t, p = _symmetric_grid_scan(data, d0, n, s_rho, s_rho0)
+    _, t, p = _symmetric_grid_scan(values)
     ht = (math.pi / 2.0) / _THETA_GRID
     hp = _TWO_PI / _PHI_GRID
     for _ in range(_REFINE_SWEEPS):

@@ -18,8 +18,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .channels import AMPLITUDE_DAMPING, ChannelSpec
-from .global_discord import RotationAngles
-from .nonlocality import _expansion_items
+from .global_discord import RotationAngles, rotation_matrix
+from .nonlocality import svetlichny_expansion
 from .qstate import (
     Cut,
     DensityMatrix,
@@ -28,6 +28,7 @@ from .qstate import (
     conditional_state,
     embed_operator,
     partial_trace,
+    shannon_entropy,
     von_neumann_entropy,
 )
 
@@ -119,19 +120,6 @@ def oracle_bipartite_discord(rho: DensityMatrix, cut: Cut, config: OracleConfig 
     return max(0.0, s_meas - von_neumann_entropy(rho) + ce_min)
 
 
-def _rotation(theta: float, phi: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array(
-        [[c, s * np.exp(1j * phi)], [-s * np.exp(-1j * phi), c]], dtype=complex
-    )
-
-
-def _diag_entropy(data: np.ndarray, basis: np.ndarray) -> float:
-    probs = np.clip(np.diag(basis.conj().T @ data @ basis).real, 0.0, 1.0)
-    nz = probs[probs > 0.0]
-    return float(-(nz * np.log2(nz)).sum())
-
-
 def oracle_global_discord_full(
     rho: DensityMatrix, config: OracleConfig = DEFAULT_CONFIG
 ) -> tuple[float, RotationAngles]:
@@ -145,12 +133,13 @@ def oracle_global_discord_full(
     data = rho.data
 
     def objective(params: np.ndarray) -> float:
-        rots = [_rotation(params[i], params[n + i]) for i in range(n)]
-        glob = _diag_entropy(data, reduce(np.kron, rots)) - s_rho
-        local = sum(
-            _diag_entropy(d, r) - s for r, d, s in zip(rots, reduced_data, s_reduced)
-        )
-        return glob - local
+        rots = rotation_matrix(params[:n], params[n:])
+        # a full dense change of basis, independent of the fast path's contraction
+        ent = [
+            shannon_entropy(np.diag(b.conj().T @ d @ b).real)
+            for d, b in [(data, reduce(np.kron, rots))] + list(zip(reduced_data, rots))
+        ]
+        return (ent[0] - s_rho) - sum(e - s for e, s in zip(ent[1:], s_reduced))
 
     value, x = _multistart_min(objective, 2 * n, config)
     pairs = tuple(((x[i] % math.pi), (x[n + i] % _TWO_PI)) for i in range(n))
@@ -210,12 +199,12 @@ def oracle_lhv_bound(n: int, allow_large: bool = False) -> float:
             "deterministic-strategy enumeration is capped at 4 qubits "
             "(5 with allow_large=True)"
         )
-    items = _expansion_items(n)
+    coefficients = svetlichny_expansion(n).coefficients
     strategies = np.array(
         [[1.0 - 2.0 * ((a >> b) & 1) for b in range(2 * n)] for a in range(4**n)]
     )
     total = np.zeros(len(strategies))
-    for q, w in items:
+    for q, w in coefficients.items():
         cols = [2 * i + (q[i] - 1) for i in range(n)]
         total += float(w) * strategies[:, cols].prod(axis=1)
     return float(np.abs(total).max())

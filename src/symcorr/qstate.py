@@ -34,13 +34,21 @@ class QubitCapError(ValueError):
     """Raised when an operation would exceed the dense-matrix size cap."""
 
 
-def _check_qubit_count(n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"qubit count must be a positive integer, got {n!r}")
+def check_qubit_count(n: int, minimum: int = 1) -> None:
+    """Reject a qubit count that is not an integer >= `minimum` or exceeds the cap."""
+    if not isinstance(n, (int, np.integer)) or n < minimum:
+        raise ValueError(f"qubit count must be an integer >= {minimum}, got {n!r}")
     if n > MAX_QUBITS:
         raise QubitCapError(
             f"dense representation is capped at {MAX_QUBITS} qubits, got {n}"
         )
+
+
+def _qubits_for_length(length: int) -> int:
+    """n such that `length` == 2^n, n >= 1; integer arithmetic only."""
+    if length < 2 or length & (length - 1):
+        raise ValueError(f"length {length} is not a positive power of two")
+    return length.bit_length() - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,14 +59,14 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        _check_qubit_count(self.n_qubits)
+        check_qubit_count(self.n_qubits)
         vec = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if vec.shape != (2**self.n_qubits,):
             raise ValueError(
                 f"amplitude vector has length {vec.size}, expected {2**self.n_qubits}"
             )
         norm = np.linalg.norm(vec)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
             raise ValueError(f"state vector norm {norm!r} is not 1 within {NORM_TOL}")
         vec.flags.writeable = False
         object.__setattr__(self, "amplitudes", vec)
@@ -66,10 +74,7 @@ class PureState:
     @classmethod
     def from_vector(cls, vec) -> "PureState":
         vec = np.asarray(vec, dtype=complex).reshape(-1)
-        n = int(round(np.log2(vec.size)))
-        if 2**n != vec.size:
-            raise ValueError(f"vector length {vec.size} is not a power of two")
-        return cls(n, vec)
+        return cls(_qubits_for_length(vec.size), vec)
 
     @classmethod
     def basis_state(cls, n_qubits: int, index: int) -> "PureState":
@@ -98,15 +103,16 @@ class DensityMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        _check_qubit_count(self.n_qubits)
+        check_qubit_count(self.n_qubits)
         dim = 2**self.n_qubits
         mat = np.array(self.data, dtype=complex)
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match {dim} x {dim}")
-        if np.abs(mat - mat.conj().T).max() > HERMITICITY_TOL:
-            raise ValueError("matrix is not Hermitian within tolerance 1e-10")
+        # `not x <= tol` so that NaN and Inf (Inf - Inf = NaN) fail both checks
+        if not np.abs(mat - mat.conj().T).max() <= HERMITICITY_TOL:
+            raise ValueError("matrix is not Hermitian within tolerance 1e-10, or is not finite")
         tr = mat.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace {tr!r} is not 1 within tolerance 1e-10")
         mat.flags.writeable = False
         object.__setattr__(self, "data", mat)
@@ -114,8 +120,7 @@ class DensityMatrix:
     @classmethod
     def from_matrix(cls, mat) -> "DensityMatrix":
         mat = np.asarray(mat, dtype=complex)
-        n = int(round(np.log2(mat.shape[0])))
-        return cls(n, mat)
+        return cls(_qubits_for_length(mat.shape[0]), mat)
 
     @classmethod
     def maximally_mixed(cls, n_qubits: int) -> "DensityMatrix":
@@ -167,6 +172,24 @@ class Cut:
         return len(self.measured) + len(self.remainder)
 
 
+def enumerate_cuts(n: int, mode: str) -> list:
+    """Cuts that the genuine-correlation minimizations visit.
+
+    Symmetric mode gives one cut per measured-block size k = 1..n/2 (the
+    invariance makes every cut of that size equivalent); general mode gives
+    every unordered bipartition once.
+    """
+    if mode == "symmetric":
+        return [Cut.of(n, range(n - k, n)) for k in range(1, n // 2 + 1)]
+    if mode == "general":
+        # subsets of qubits 0..n-2 hit each unordered bipartition exactly once
+        return [
+            Cut.of(n, [q for q in range(n - 1) if (bits >> q) & 1])
+            for bits in range(1, 2 ** (n - 1))
+        ]
+    raise ValueError(f"mode must be 'symmetric' or 'general', got {mode!r}")
+
+
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     """Kronecker product of two states; `a`'s qubits become the leading ones."""
     return DensityMatrix(a.n_qubits + b.n_qubits, np.kron(a.data, b.data))
@@ -198,7 +221,7 @@ def shannon_entropy(probs) -> float:
     clamped; anything more negative raises.
     """
     p = np.asarray(probs, dtype=float)
-    if p.min() < EIGENVALUE_FLOOR:
+    if not p.min() >= EIGENVALUE_FLOOR:
         raise ValueError(f"probability {p.min()} below {EIGENVALUE_FLOOR}")
     p = np.clip(p, 0.0, 1.0)
     nz = p[p > 0.0]
@@ -332,3 +355,23 @@ def is_invariant_under(
         full = embed_operator(u, qubits, rho.n_qubits)
     rotated = full.conj().T @ rho.data @ full
     return bool(np.abs(rotated - rho.data).max() <= INVARIANCE_TOL)
+
+
+def require_permutation_symmetric(rho: DensityMatrix, context: str) -> None:
+    """Raise unless `rho` is invariant under every permutation of its qubits.
+
+    The swap (0 1) and the n-cycle generate the symmetric group, so invariance
+    under those two suffices.  Each is applied as an axis transpose of the
+    (2,)*2n tensor, O(4^n), and compared elementwise within 1e-9.
+    """
+    n = rho.n_qubits
+    if n < 2:
+        raise ValueError(f"{context} needs at least 2 qubits, got {n}")
+    t = rho.data.reshape((2,) * (2 * n))
+    for perm in ([1, 0] + list(range(2, n)), [(i + 1) % n for i in range(n)]):
+        moved = t.transpose(perm + [n + q for q in perm])
+        if not np.abs(moved - t).max() <= INVARIANCE_TOL:
+            raise ValueError(
+                f"{context} requires a permutation-invariant state; "
+                "use mode='general' (brute-force oracle) for arbitrary states"
+            )

@@ -15,23 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import (
-    DensityMatrix,
-    MAX_QUBITS,
-    PureState,
-    QubitCapError,
-    permutation_unitary,
-)
+from .qstate import DensityMatrix, PureState, check_qubit_count, permutation_unitary
 
 ALPHA_MAX_STRICT = 1.0 / math.sqrt(2.0)
 _ORTHONORMALITY_TOL = 1e-10
-
-
-def _check_n(n: int, minimum: int = 2) -> None:
-    if not isinstance(n, (int, np.integer)) or n < minimum:
-        raise ValueError(f"need an integer qubit count >= {minimum}, got {n!r}")
-    if n > MAX_QUBITS:
-        raise QubitCapError(f"qubit count capped at {MAX_QUBITS}, got {n}")
 
 
 def _check_unit_interval(value: float, name: str) -> float:
@@ -71,7 +58,7 @@ def thermo_state(n: int, p0: float) -> DensityMatrix:
     number of qubits in |0>.  At p0 = 1/2 the state is maximally mixed, and
     p0 <-> p1 is a global bit flip.
     """
-    _check_n(n)
+    check_qubit_count(n, minimum=2)
     p0 = _check_unit_interval(p0, "p0")
     p1 = 1.0 - p0
     dim = 2**n
@@ -93,7 +80,7 @@ def ghz_state(n: int, alpha1: float, strict: bool = False) -> PureState:
     to 1 are accepted with a warning (they only relabel the two amplitudes)
     unless `strict` is set.
     """
-    _check_n(n)
+    check_qubit_count(n, minimum=2)
     alpha1, alpha2 = _check_alpha(alpha1, strict)
     vec = np.zeros(2**n, dtype=complex)
     vec[0] = alpha1
@@ -108,7 +95,7 @@ def ghz_ad_closed(n: int, alpha1: float, lam: float, strict: bool = False) -> De
     |1...1>, and alpha2^2 (1-lam)^k lam^(n-k) on every level with k qubits in
     |1>.  The extremal coherence is damped to alpha1 alpha2 (1-lam)^(n/2).
     """
-    _check_n(n)
+    check_qubit_count(n, minimum=2)
     alpha1, alpha2 = _check_alpha(alpha1, strict)
     lam = _check_unit_interval(lam, "lambda")
     dim = 2**n
@@ -129,7 +116,7 @@ def ghz_pd_closed(n: int, alpha1: float, gamma: float, strict: bool = False) -> 
     Populations are untouched; the extremal coherence is damped by
     (1-gamma)^(n/2).  The state has rank at most 2 for every gamma.
     """
-    _check_n(n)
+    check_qubit_count(n, minimum=2)
     alpha1, alpha2 = _check_alpha(alpha1, strict)
     gamma = _check_unit_interval(gamma, "gamma")
     dim = 2**n
@@ -171,10 +158,7 @@ def symmetric_basis(k: int, theta: float) -> MeasurementBasis:
     orthonormal completion would give the same discord.  k = 1 degenerates to
     the plain rotated single-qubit pair.
     """
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"block size must be a positive integer, got {k!r}")
-    if k > MAX_QUBITS:
-        raise QubitCapError(f"block size capped at {MAX_QUBITS}, got {k}")
+    check_qubit_count(k)
     theta = float(theta)
     dim = 2**k
     c, s = math.cos(theta), math.sin(theta)
@@ -204,8 +188,7 @@ def symmetry_generator(kind: str, k: int) -> np.ndarray:
     sign convention makes |0...0> and |1...1> eigenvectors with eigenvalue +1
     for odd k.
     """
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"block size must be a positive integer, got {k!r}")
+    check_qubit_count(k)
     if kind == "translation":
         return permutation_unitary(k, [(i + 1) % k for i in range(k)]).astype(complex)
     if kind == "parity_phase":

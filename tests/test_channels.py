@@ -109,3 +109,11 @@ def test_amplitude_damping_composition():
 def test_thermo_state_stays_valid_under_noise():
     out = apply_local_channel(thermo_state(4, 0.8), ChannelSpec(PHASE_DAMPING, 0.6))
     assert out.n_qubits == 4  # constructor revalidates Hermiticity and trace
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_incomplete_kraus_set_raises_value_error():
+    spec = ChannelSpec(AMPLITUDE_DAMPING, 0.5)
+    object.__setattr__(spec, "rate", 1.5)  # bypass validation: sqrt(1 - rate) is NaN
+    with pytest.raises(ValueError, match="complete"):
+        kraus_operators(spec)

@@ -11,8 +11,8 @@ from symcorr.global_discord import (
     rotation_matrix,
 )
 from symcorr.oracle import OracleConfig, oracle_global_discord
-from symcorr.qstate import DensityMatrix, tensor, von_neumann_entropy
-from symcorr.states import ghz_state, thermo_state
+from symcorr.qstate import DensityMatrix, partial_trace, tensor, von_neumann_entropy
+from symcorr.states import ghz_ad_closed, ghz_state, thermo_state
 
 FAST_ORACLE = OracleConfig(restarts=4, grid_density=16, seed=7)
 
@@ -133,3 +133,33 @@ class TestOptimizer:
         value, angles = global_discord(rho, mode="general")
         assert angles.n_qubits == 3
         assert value == pytest.approx(global_discord_thermo_analytic(3, 0.8), abs=2e-3)
+
+
+def _ghz_plus_mixture(n, weight=0.7):
+    plus = np.full(2**n, 2 ** (-n / 2), dtype=complex)
+    ghz = ghz_state(n, 1 / np.sqrt(2)).amplitudes
+    return DensityMatrix(n, weight * np.outer(ghz, ghz.conj()) + (1 - weight) * np.outer(plus, plus))
+
+
+class TestSharedAngleEvaluatorMatchesDensePath:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "make",
+        [lambda n: thermo_state(n, 0.8), lambda n: ghz_ad_closed(n, 0.6, 0.3), _ghz_plus_mixture],
+        ids=["thermo", "ghz_ad", "ghz_plus_mixture"],
+    )
+    def test_value_at_returned_angles(self, make, n):
+        rho = make(n)
+        value, angles = global_discord(rho)
+        theta, phi = angles.pairs[0]
+        rho0 = partial_trace(rho, {0})
+        local = von_neumann_entropy(
+            dephase_in_rotated_basis(rho0, RotationAngles.uniform(1, theta, phi))
+        ) - von_neumann_entropy(rho0)
+        dense = von_neumann_entropy(dephase_in_rotated_basis(rho, angles)) - von_neumann_entropy(rho)
+        assert value == pytest.approx(dense - n * local, abs=1e-12)
+
+    def test_single_qubit_is_a_plain_value_error(self):
+        with pytest.raises(ValueError) as info:
+            global_discord(DensityMatrix.maximally_mixed(1))
+        assert type(info.value) is ValueError

@@ -11,15 +11,17 @@ from symcorr.qstate import (
     QubitCapError,
     conditional_state,
     embed_operator,
+    enumerate_cuts,
     is_invariant_under,
     mutual_information,
     partial_trace,
     permutation_unitary,
+    require_permutation_symmetric,
     tensor,
     total_correlations,
     von_neumann_entropy,
 )
-from symcorr.states import ghz_state, symmetric_basis, thermo_state
+from symcorr.states import ghz_ad_closed, ghz_state, symmetric_basis, thermo_state
 
 
 def random_density(rng, n):
@@ -336,3 +338,104 @@ class TestSymmetryChecks:
             q2, q0 = (s >> 1) & 1, s & 1
             expected[(q0 << 2) | (1 << 1) | q2] += amp
         assert np.abs(out - expected).max() < 1e-12
+
+
+class TestConstructionRejectsBadInput:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["all-nan", "single-nan", "diagonal-inf"])
+    def test_density_matrix_rejects_non_finite(self, kind):
+        m = np.eye(4, dtype=complex) / 4
+        if kind == "all-nan":
+            m[:] = np.nan
+        elif kind == "single-nan":
+            m[1, 2] = np.nan
+        else:
+            m[0, 0] = np.inf
+        with pytest.raises(ValueError):
+            DensityMatrix(2, m)
+
+    def test_pure_state_rejects_nan_vector(self):
+        with pytest.raises(ValueError, match="norm"):
+            PureState(1, [np.nan, np.nan])
+
+    def test_empty_vector_and_matrix_rejected(self):
+        with pytest.raises(ValueError, match="length 0"):
+            PureState.from_vector([])
+        with pytest.raises(ValueError, match="length 0"):
+            DensityMatrix.from_matrix(np.zeros((0, 0)))
+
+    def test_non_power_of_two_matrix_rejected(self):
+        with pytest.raises(ValueError, match="length 3 is not a positive power of two"):
+            DensityMatrix.from_matrix(np.eye(3) / 3)
+
+
+def _w_with_phases(n):
+    """Single-excitation state sum_k w^k |e_k>, w = exp(2 pi i / n): cycle-invariant only."""
+    vec = np.zeros(2**n, dtype=complex)
+    for k in range(n):
+        vec[1 << (n - 1 - k)] = np.exp(2j * np.pi * k / n) / np.sqrt(n)
+    return PureState(n, vec).to_density_matrix()
+
+
+def _passes_symmetry_check(rho):
+    try:
+        require_permutation_symmetric(rho, "test")
+    except ValueError:
+        return False
+    return True
+
+
+class TestPermutationSymmetryCheck:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_agrees_with_unitary_conjugation(self, n):
+        swap = permutation_unitary(n, [1, 0] + list(range(2, n)))
+        cycle = permutation_unitary(n, [(i + 1) % n for i in range(n)])
+        mixed = 0.6 * ghz_state(n, 0.6).to_density_matrix().data + 0.4 * thermo_state(n, 0.3).data
+        cases = [
+            (thermo_state(n, 0.8), True),
+            (ghz_ad_closed(n, 0.6, 0.3), True),
+            (DensityMatrix(n, mixed), True),
+            # qubits 0 and 1 in |0>, the rest in |1>: swap-invariant, not cycle-invariant
+            (PureState.basis_state(n, 2 ** (n - 2) - 1).to_density_matrix(), n == 2),
+        ]
+        if n >= 3:
+            cases.append((_w_with_phases(n), False))  # cycle-invariant, not swap-invariant
+        for rho, expected in cases:
+            by_unitary = is_invariant_under(rho, swap) and is_invariant_under(rho, cycle)
+            assert by_unitary == expected
+            assert _passes_symmetry_check(rho) == expected
+
+    def test_each_generator_is_checked(self):
+        n = 4
+        swap = permutation_unitary(n, [1, 0, 2, 3])
+        cycle = permutation_unitary(n, [1, 2, 3, 0])
+        only_cycle = _w_with_phases(n)
+        only_swap = PureState.basis_state(n, 0b0011).to_density_matrix()
+        assert is_invariant_under(only_cycle, cycle) and not is_invariant_under(only_cycle, swap)
+        assert is_invariant_under(only_swap, swap) and not is_invariant_under(only_swap, cycle)
+
+    def test_error_names_general_mode(self):
+        with pytest.raises(ValueError, match="general"):
+            require_permutation_symmetric(_w_with_phases(3), "test")
+
+    def test_single_qubit_is_a_plain_value_error(self):
+        with pytest.raises(ValueError) as info:
+            require_permutation_symmetric(DensityMatrix.maximally_mixed(1), "test")
+        assert type(info.value) is ValueError
+
+
+class TestEnumerateCuts:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_symmetric_one_cut_per_block_size(self, n):
+        cuts = enumerate_cuts(n, "symmetric")
+        assert [len(c.measured) for c in cuts] == list(range(1, n // 2 + 1))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_general_every_unordered_bipartition_once(self, n):
+        cuts = enumerate_cuts(n, "general")
+        unordered = {frozenset((c.measured, c.remainder)) for c in cuts}
+        assert len(unordered) == len(cuts) == 2 ** (n - 1) - 1
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="mode must be"):
+            enumerate_cuts(3, "exhaustive")

@@ -201,3 +201,10 @@ class TestSymmetryGenerators:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             symmetry_generator("reflection", 3)
+
+    def test_block_size_is_capped(self):
+        for kind in ("translation", "parity_phase"):
+            with pytest.raises(QubitCapError):
+                symmetry_generator(kind, 13)
+            with pytest.raises(ValueError):
+                symmetry_generator(kind, 0)
