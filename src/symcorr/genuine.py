@@ -27,6 +27,7 @@ from .qstate import (
     mutual_information,
     partial_trace,
     require_permutation_symmetric,
+    shannon_entropy,
     von_neumann_entropy,
 )
 from .states import symmetric_basis
@@ -202,9 +203,7 @@ def entanglement_of_formation(rho: DensityMatrix) -> float:
     """Two-qubit entanglement of formation, in bits."""
     c = wootters_concurrence(rho)
     x = (1.0 + math.sqrt(max(0.0, 1.0 - c * c))) / 2.0
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return float(-x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x))
+    return shannon_entropy([x, 1.0 - x])
 
 
 def _pure_reduced(vec: np.ndarray, n: int, keep: list) -> np.ndarray:

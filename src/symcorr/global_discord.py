@@ -26,6 +26,7 @@ from .qstate import (
     DensityMatrix,
     partial_trace,
     require_permutation_symmetric,
+    shannon_entropy,
     von_neumann_entropy,
 )
 
@@ -105,12 +106,6 @@ def global_discord_thermo_analytic(n: int, p0: float) -> float:
     return plog(x) + plog(y) - (x + y) * math.log2((x + y) / 2.0)
 
 
-def _entropy_rows(probs: np.ndarray) -> np.ndarray:
-    p = np.clip(probs, 0.0, 1.0)
-    terms = np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
-    return -terms.sum(axis=-1)
-
-
 def _paired_tensor(data: np.ndarray, n: int) -> np.ndarray:
     """Reindex rho so each qubit contributes one 4-valued (row, col) axis."""
     t = data.reshape((2,) * (2 * n))
@@ -144,9 +139,9 @@ def _shared_angle_values(paired, d0, n, s_rho, s_rho0, thetas, phis) -> np.ndarr
     `_paired_tensor` and rho_0 as the single-qubit reduced matrix `d0`.
     """
     r = rotation_matrix(thetas, phis)
-    glob = _entropy_rows(_shared_rotation_probs(paired, n, r)) - s_rho
+    glob = shannon_entropy(_shared_rotation_probs(paired, n, r)) - s_rho
     local_probs = np.einsum("gak,ab,gbk->gk", r.conj(), d0, r).real
-    return glob - n * (_entropy_rows(local_probs) - s_rho0)
+    return glob - n * (shannon_entropy(local_probs) - s_rho0)
 
 
 def _symmetric_grid_scan(values) -> tuple[float, float, float]:

@@ -131,19 +131,29 @@ def correlation(rho: DensityMatrix, angles) -> float:
     return float(value.real)
 
 
+def _svetlichny_evaluator(rho: DensityMatrix):
+    """The polynomial of `rho` as a function of an (n, 2) per-qubit angle table."""
+    n = rho.n_qubits
+    items = _expansion_items(n)
+    signs = _bit_signs(n)
+    anti = _antidiagonal(rho)
+    weights = np.array([float(w) for _, w in items])
+    choices = np.array([[q[i] - 1 for i in range(n)] for q, _ in items])
+    qubits = np.arange(n)[None, :]
+
+    def value(table: np.ndarray) -> float:
+        theta_rows = table[qubits, choices]
+        corrs = (anti @ np.exp(1j * (signs @ theta_rows.T))).real
+        return float(weights @ corrs)
+
+    return value
+
+
 def svetlichny_value(rho: DensityMatrix, settings: SettingsTable) -> float:
     """Value of the normalized polynomial at the given per-qubit settings."""
-    n = rho.n_qubits
-    if settings.n_qubits != n:
+    if settings.n_qubits != rho.n_qubits:
         raise ValueError("settings table does not match the state's qubit count")
-    items = _expansion_items(n)
-    theta_rows = np.array(
-        [[settings.pairs[i][q[i] - 1] for i in range(n)] for q, _ in items]
-    )
-    phases = np.exp(1j * (_bit_signs(n) @ theta_rows.T))
-    corrs = (_antidiagonal(rho) @ phases).real
-    weights = np.array([float(w) for _, w in items])
-    return float(weights @ corrs)
+    return _svetlichny_evaluator(rho)(np.array(settings.pairs))
 
 
 def _comb_max(n: int) -> float:
@@ -161,17 +171,10 @@ def _closed_form_settings(n: int, delta: float) -> SettingsTable:
 
 def _coordinate_search_max(rho: DensityMatrix, restarts: int, seed: int):
     n = rho.n_qubits
-    items = _expansion_items(n)
-    signs = _bit_signs(n)
-    anti = _antidiagonal(rho)
-    weights = np.array([float(w) for _, w in items])
-    choices = np.array([[q[i] - 1 for i in range(n)] for q, _ in items])
+    evaluate = _svetlichny_evaluator(rho)
 
     def value(flat: np.ndarray) -> float:
-        table = flat.reshape(n, 2)
-        theta_rows = table[np.arange(n)[None, :], choices]
-        corrs = (anti @ np.exp(1j * (signs @ theta_rows.T))).real
-        return float(weights @ corrs)
+        return evaluate(flat.reshape(n, 2))
 
     rng = np.random.default_rng(seed)
     best_val, best_x = -math.inf, None

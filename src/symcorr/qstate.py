@@ -13,7 +13,6 @@ Matrices are dense, with a practical cap of MAX_QUBITS qubits.
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -109,7 +108,9 @@ class DensityMatrix:
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match {dim} x {dim}")
         # `not x <= tol` so that NaN and Inf (Inf - Inf = NaN) fail both checks
-        if not np.abs(mat - mat.conj().T).max() <= HERMITICITY_TOL:
+        with np.errstate(invalid="ignore"):
+            hermitian = np.abs(mat - mat.conj().T).max() <= HERMITICITY_TOL
+        if not hermitian:
             raise ValueError("matrix is not Hermitian within tolerance 1e-10, or is not finite")
         tr = mat.trace()
         if not abs(tr - 1.0) <= TRACE_TOL:
@@ -195,6 +196,16 @@ def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(a.n_qubits + b.n_qubits, np.kron(a.data, b.data))
 
 
+def _leading_view(rho: DensityMatrix, lead: Sequence[int]) -> np.ndarray:
+    """`rho` as a (d_lead, d_rest, d_lead, d_rest) array, the sorted `lead` qubits first."""
+    n = rho.n_qubits
+    order = list(lead) + [q for q in range(n) if q not in lead]
+    t = rho.data.reshape((2,) * (2 * n)).transpose(order + [n + a for a in order])
+    d_lead = 2 ** len(lead)
+    d_rest = 2**n // d_lead
+    return t.reshape(d_lead, d_rest, d_lead, d_rest)
+
+
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Reduced state on the qubits in `keep`, relative ordering preserved."""
     n = rho.n_qubits
@@ -203,29 +214,26 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
         raise ValueError("keep set must be nonempty")
     if keep[0] < 0 or keep[-1] >= n:
         raise ValueError(f"keep set {keep} out of range for {n} qubits")
-    traced = [q for q in range(n) if q not in keep]
-    if not traced:
-        return DensityMatrix(n, rho.data)
-    t = rho.data.reshape((2,) * (2 * n))
-    order = keep + traced
-    t = t.transpose(order + [n + a for a in order])
-    dk, dt = 2 ** len(keep), 2 ** len(traced)
-    t = t.reshape(dk, dt, dk, dt)
-    return DensityMatrix(len(keep), np.trace(t, axis1=1, axis2=3))
+    return DensityMatrix(len(keep), np.trace(_leading_view(rho, keep), axis1=1, axis2=3))
 
 
-def shannon_entropy(probs) -> float:
+def shannon_entropy(probs) -> float | np.ndarray:
     """Base-2 entropy of a probability vector, with 0*log(0) = 0.
 
-    Small negative entries (down to -1e-9) are treated as numerical noise and
-    clamped; anything more negative raises.
+    A 2-D array gives one entropy per row.  Small negative entries (down to
+    -1e-9) are treated as numerical noise and clamped; anything more negative
+    raises.
     """
     p = np.asarray(probs, dtype=float)
     if not p.min() >= EIGENVALUE_FLOOR:
         raise ValueError(f"probability {p.min()} below {EIGENVALUE_FLOOR}")
     p = np.clip(p, 0.0, 1.0)
-    nz = p[p > 0.0]
-    return float(-(nz * np.log2(nz)).sum())
+    terms = p * np.log2(np.where(p > 0.0, p, 1.0))
+    if p.ndim == 1:
+        # nonzero terms only: zeros would regroup numpy's pairwise sum and
+        # shift eigenvalue entropies by ulps, enough to move Powell searches
+        return float(-terms[p > 0.0].sum())
+    return -terms.sum(axis=-1)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -250,30 +258,6 @@ def mutual_information(rho: DensityMatrix, cut: Cut) -> float:
     return sa + sb - von_neumann_entropy(rho)
 
 
-def _partial_inner(data: np.ndarray, n: int, measured: Sequence[int], probe: np.ndarray) -> np.ndarray:
-    """<probe| rho |probe> contracted over `measured`, as a matrix on the rest."""
-    k = len(measured)
-    letters = string.ascii_lowercase + string.ascii_uppercase
-    row = letters[:n]
-    col = letters[n : 2 * n]
-    keep = [q for q in range(n) if q not in measured]
-    subscript = "{},{},{}->{}".format(
-        "".join(row[q] for q in measured),
-        row + col,
-        "".join(col[q] for q in measured),
-        "".join(row[q] for q in keep) + "".join(col[q] for q in keep),
-    )
-    t = data.reshape((2,) * (2 * n))
-    m = np.einsum(
-        subscript,
-        probe.conj().reshape((2,) * k),
-        t,
-        probe.reshape((2,) * k),
-    )
-    d = 2 ** len(keep)
-    return m.reshape(d, d)
-
-
 def conditional_state(
     rho: DensityMatrix, cut: Cut, probe: PureState
 ) -> tuple[float, Optional[DensityMatrix]]:
@@ -291,7 +275,8 @@ def conditional_state(
         raise ValueError(
             f"probe acts on {probe.n_qubits} qubits, measured block has {len(measured)}"
         )
-    m = _partial_inner(rho.data, rho.n_qubits, measured, probe.amplitudes)
+    v = probe.amplitudes
+    m = np.einsum("x,xrys,y->rs", v.conj(), _leading_view(rho, measured), v)
     b = float(m.trace().real)
     if b < PROBABILITY_FLOOR:
         return 0.0, None

@@ -48,6 +48,19 @@ def _check_alpha(alpha1: float, strict: bool) -> tuple[float, float]:
     return alpha1, alpha2
 
 
+def _x_state(n: int, populations, coherence: float) -> DensityMatrix:
+    """Diagonal state with the real corner coherence |0...0><1...1| (an X state).
+
+    `populations[w]` sits on every basis state with w qubits in |1>,
+    w = 0..n; `coherence` sits on both corners.
+    """
+    idx = np.arange(2**n)
+    weight = sum((idx >> q) & 1 for q in range(n))
+    mat = np.diag(np.asarray(populations, dtype=complex)[weight])
+    mat[0, -1] = mat[-1, 0] = coherence
+    return DensityMatrix(n, mat)
+
+
 def thermo_state(n: int, p0: float) -> DensityMatrix:
     """Symmetric n-qubit mixed state with remixed extremal levels.
 
@@ -61,16 +74,9 @@ def thermo_state(n: int, p0: float) -> DensityMatrix:
     check_qubit_count(n, minimum=2)
     p0 = _check_unit_interval(p0, "p0")
     p1 = 1.0 - p0
-    dim = 2**n
-    mat = np.zeros((dim, dim), dtype=complex)
     top = (p0**n + p1**n) / 2.0
-    coh = (p0**n - p1**n) / 2.0
-    mat[0, 0] = mat[dim - 1, dim - 1] = top
-    mat[0, dim - 1] = mat[dim - 1, 0] = coh
-    for idx in range(1, dim - 1):
-        zeros = n - int(idx).bit_count()
-        mat[idx, idx] = p0**zeros * p1 ** (n - zeros)
-    return DensityMatrix(n, mat)
+    populations = [top] + [p0 ** (n - w) * p1**w for w in range(1, n)] + [top]
+    return _x_state(n, populations, (p0**n - p1**n) / 2.0)
 
 
 def ghz_state(n: int, alpha1: float, strict: bool = False) -> PureState:
@@ -98,16 +104,9 @@ def ghz_ad_closed(n: int, alpha1: float, lam: float, strict: bool = False) -> De
     check_qubit_count(n, minimum=2)
     alpha1, alpha2 = _check_alpha(alpha1, strict)
     lam = _check_unit_interval(lam, "lambda")
-    dim = 2**n
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[0, 0] = alpha1**2 + alpha2**2 * lam**n
-    mat[dim - 1, dim - 1] = alpha2**2 * (1.0 - lam) ** n
-    coh = alpha1 * alpha2 * (1.0 - lam) ** (n / 2.0)
-    mat[0, dim - 1] = mat[dim - 1, 0] = coh
-    for idx in range(1, dim - 1):
-        ones = int(idx).bit_count()
-        mat[idx, idx] = alpha2**2 * (1.0 - lam) ** ones * lam ** (n - ones)
-    return DensityMatrix(n, mat)
+    populations = [alpha2**2 * (1.0 - lam) ** k * lam ** (n - k) for k in range(n + 1)]
+    populations[0] += alpha1**2
+    return _x_state(n, populations, alpha1 * alpha2 * (1.0 - lam) ** (n / 2.0))
 
 
 def ghz_pd_closed(n: int, alpha1: float, gamma: float, strict: bool = False) -> DensityMatrix:
@@ -119,13 +118,8 @@ def ghz_pd_closed(n: int, alpha1: float, gamma: float, strict: bool = False) -> 
     check_qubit_count(n, minimum=2)
     alpha1, alpha2 = _check_alpha(alpha1, strict)
     gamma = _check_unit_interval(gamma, "gamma")
-    dim = 2**n
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[0, 0] = alpha1**2
-    mat[dim - 1, dim - 1] = alpha2**2
-    coh = alpha1 * alpha2 * (1.0 - gamma) ** (n / 2.0)
-    mat[0, dim - 1] = mat[dim - 1, 0] = coh
-    return DensityMatrix(n, mat)
+    populations = [alpha1**2] + [0.0] * (n - 1) + [alpha2**2]
+    return _x_state(n, populations, alpha1 * alpha2 * (1.0 - gamma) ** (n / 2.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,9 +133,8 @@ class MeasurementBasis:
         dim = 2**self.block_size
         if len(self.vectors) != dim:
             raise ValueError(f"basis needs {dim} vectors, got {len(self.vectors)}")
-        gram = np.array(
-            [[np.vdot(a.amplitudes, b.amplitudes) for b in self.vectors] for a in self.vectors]
-        )
+        stacked = np.array([v.amplitudes for v in self.vectors]).T
+        gram = stacked.conj().T @ stacked
         if np.abs(gram - np.eye(dim)).max() > _ORTHONORMALITY_TOL:
             raise ValueError("basis vectors are not orthonormal within 1e-10")
         object.__setattr__(self, "vectors", tuple(self.vectors))

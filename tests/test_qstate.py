@@ -341,7 +341,6 @@ class TestSymmetryChecks:
 
 
 class TestConstructionRejectsBadInput:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("kind", ["all-nan", "single-nan", "diagonal-inf"])
     def test_density_matrix_rejects_non_finite(self, kind):
         m = np.eye(4, dtype=complex) / 4
