@@ -22,7 +22,7 @@ from .genuine import genuine_correlations
 from .global_discord import global_discord
 from .nonlocality import bounds as svetlichny_bounds
 from .nonlocality import max_violation
-from .qstate import DensityMatrix, QubitCapError, enumerate_cuts, mutual_information
+from .qstate import MODES, DensityMatrix, QubitCapError, enumerate_cuts, mutual_information
 from .states import ghz_ad_closed, ghz_pd_closed, thermo_state
 
 MEASURES = ("genuine_discord", "genuine_classical", "global_discord", "svetlichny", "mutual_info")
@@ -168,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--n", type=int, required=True, help="number of qubits")
         p.add_argument("--measure", action="append", choices=MEASURES, required=True)
-        p.add_argument("--mode", choices=("symmetric", "general"), default="symmetric")
+        p.add_argument("--mode", choices=MODES, default="symmetric")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--strict-alpha", action="store_true",
                        help="reject alpha1 above 1/sqrt(2) instead of warning")

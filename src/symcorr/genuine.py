@@ -21,8 +21,8 @@ from .optim import grid_golden_min
 from .qstate import (
     Cut,
     DensityMatrix,
-    PureState,
-    conditional_state,
+    check_mode,
+    conditional_entropy,
     enumerate_cuts,
     mutual_information,
     partial_trace,
@@ -68,28 +68,15 @@ def _clamp_nonneg(x: float, what: str) -> float:
 def _symmetric_conditional_entropy(rho: DensityMatrix, cut: Cut):
     """Conditional entropy over the single-angle basis family, as a function of theta.
 
-    The fixed-excitation Fourier probes do not depend on theta, so their
-    contribution is evaluated once; only the two extremal rotated probes are
-    recomputed per angle.
+    The Fourier-sector rows do not depend on theta and are measured once; only
+    the extremal pair is rotated and measured per angle.
     """
-    k = len(cut.measured)
-    fixed = 0.0
-    for probe in symmetric_basis(k, 0.0).vectors[2:]:
-        b, cond = conditional_state(rho, cut, probe)
-        if cond is not None:
-            fixed += b * von_neumann_entropy(cond)
-    dim = 2**k
+    rows = np.array([v.amplitudes for v in symmetric_basis(len(cut.measured), 0.0).vectors])
+    fixed = conditional_entropy(rho, cut, rows[2:])
 
     def ce(theta: float) -> float:
         c, s = math.cos(theta), math.sin(theta)
-        total = fixed
-        for amp0, amp1 in ((c, s), (-s, c)):
-            vec = np.zeros(dim, dtype=complex)
-            vec[0], vec[-1] = amp0, amp1
-            b, cond = conditional_state(rho, cut, PureState(k, vec))
-            if cond is not None:
-                total += b * von_neumann_entropy(cond)
-        return total
+        return fixed + conditional_entropy(rho, cut, np.array([[c, s], [-s, c]]) @ rows[:2])
 
     return ce
 
@@ -105,14 +92,13 @@ def _symmetric_discord(rho: DensityMatrix, cut: Cut) -> tuple[float, float]:
 
 def _cut_discord(rho: DensityMatrix, mode: str, context: str):
     """The per-cut discord for `mode`, as cut -> (discord, optimal_theta or None)."""
+    check_mode(mode)
     if mode == "symmetric":
         require_permutation_symmetric(rho, context)
         return lambda cut: _symmetric_discord(rho, cut)
-    if mode == "general":
-        from .oracle import DEFAULT_CONFIG, oracle_bipartite_discord
+    from .oracle import DEFAULT_CONFIG, oracle_bipartite_discord
 
-        return lambda cut: (oracle_bipartite_discord(rho, cut, DEFAULT_CONFIG), None)
-    raise ValueError(f"mode must be 'symmetric' or 'general', got {mode!r}")
+    return lambda cut: (oracle_bipartite_discord(rho, cut, DEFAULT_CONFIG), None)
 
 
 def bipartite_discord(
@@ -254,11 +240,8 @@ def koashi_winter_discord(rho: DensityMatrix, cut: Cut) -> float:
     if n >= 2 and evals[:-2].max() > _RANK2_TOL:
         raise ValueError(f"state has rank > 2 (third eigenvalue {evals[-3]})")
     lam = np.clip(evals[-2:], 0.0, 1.0)
-    psi = np.zeros(2 ** (n + 1), dtype=complex)
-    for m in range(2):
-        anc = np.zeros(2, dtype=complex)
-        anc[m] = 1.0
-        psi += math.sqrt(lam[m]) * np.kron(evecs[:, -2 + m], anc)
+    # sum_m sqrt(lam_m) |e_m>|m>, the ancilla as the last qubit
+    psi = (evecs[:, -2:] * np.sqrt(lam)).reshape(-1)
     psi /= np.linalg.norm(psi)
 
     s_rho = von_neumann_entropy(rho)

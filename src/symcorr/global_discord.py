@@ -24,6 +24,8 @@ import numpy as np
 from .optim import golden_section_min
 from .qstate import (
     DensityMatrix,
+    QubitCapError,
+    check_mode,
     partial_trace,
     require_permutation_symmetric,
     shannon_entropy,
@@ -33,6 +35,7 @@ from .qstate import (
 _THETA_GRID = 64
 _PHI_GRID = 64
 _GRID_CHUNK = 256
+_MAX_SYMMETRIC_QUBITS = 10  # the grid chunk's intermediate is 2.1 GB here, 8.6 GB at n = 11
 _REFINE_SWEEPS = 3
 _REFINE_TOL = 1e-7
 _SEAM_TOL = 1e-6
@@ -178,14 +181,18 @@ def global_discord(
     golden-section refinement.  General mode optimizes all 2n angles through
     the multi-start oracle (small systems only).
     """
+    check_mode(mode)
     if mode == "general":
         from .oracle import DEFAULT_CONFIG, oracle_global_discord_full
 
         return oracle_global_discord_full(rho, DEFAULT_CONFIG)
-    if mode != "symmetric":
-        raise ValueError(f"mode must be 'symmetric' or 'general', got {mode!r}")
-    require_permutation_symmetric(rho, "symmetric-mode global discord")
     n = rho.n_qubits
+    if n > _MAX_SYMMETRIC_QUBITS:
+        raise QubitCapError(
+            f"symmetric global discord is capped at {_MAX_SYMMETRIC_QUBITS} qubits, got {n}: its grid "
+            f"scan would hold {_GRID_CHUNK * 2 * 4 ** (n - 1) * 16 / 1e9:.1f} GB at once"
+        )
+    require_permutation_symmetric(rho, "symmetric-mode global discord")
     rho0 = partial_trace(rho, {0})
     values = partial(
         _shared_angle_values, _paired_tensor(rho.data, n), rho0.data, n,

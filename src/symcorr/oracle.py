@@ -23,9 +23,8 @@ from .nonlocality import svetlichny_expansion
 from .qstate import (
     Cut,
     DensityMatrix,
-    PureState,
     QubitCapError,
-    conditional_state,
+    conditional_entropy,
     embed_operator,
     partial_trace,
     shannon_entropy,
@@ -100,22 +99,13 @@ def _givens_unitary(dim: int, params: np.ndarray) -> np.ndarray:
 def oracle_bipartite_discord(rho: DensityMatrix, cut: Cut, config: OracleConfig = DEFAULT_CONFIG) -> float:
     """Discord across `cut` minimized over general orthonormal measured bases."""
     _check_cap(rho.n_qubits, config)
-    if cut.n_qubits != rho.n_qubits:
-        raise ValueError("cut does not match the state's qubit count")
-    k = len(cut.measured)
-    dim = 2**k
-    n_params = dim * (dim - 1)
+    dim = 2 ** len(cut.measured)
 
-    def conditional_entropy(params: np.ndarray) -> float:
-        u = _givens_unitary(dim, params)
-        total = 0.0
-        for col in range(dim):
-            b, cond = conditional_state(rho, cut, PureState(k, u[:, col]))
-            if cond is not None:
-                total += b * von_neumann_entropy(cond)
-        return total
+    def ce(params: np.ndarray) -> float:
+        # the unitary's columns are the measured basis
+        return conditional_entropy(rho, cut, _givens_unitary(dim, params).T)
 
-    ce_min, _ = _multistart_min(conditional_entropy, n_params, config)
+    ce_min, _ = _multistart_min(ce, dim * (dim - 1), config)
     s_meas = von_neumann_entropy(partial_trace(rho, cut.measured))
     return max(0.0, s_meas - von_neumann_entropy(rho) + ce_min)
 

@@ -27,6 +27,7 @@ NORM_TOL = 1e-12
 PROBABILITY_FLOOR = 1e-12  # measurement branches below this count as unfired
 UNITARITY_TOL = 1e-10
 INVARIANCE_TOL = 1e-9
+MODES = ("symmetric", "general")  # symmetry-reduced search, or the brute-force oracle
 
 
 class QubitCapError(ValueError):
@@ -41,6 +42,12 @@ def check_qubit_count(n: int, minimum: int = 1) -> None:
         raise QubitCapError(
             f"dense representation is capped at {MAX_QUBITS} qubits, got {n}"
         )
+
+
+def check_mode(mode: str) -> None:
+    """Reject a search mode that is not one of MODES."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be {' or '.join(map(repr, MODES))}, got {mode!r}")
 
 
 def _qubits_for_length(length: int) -> int:
@@ -180,15 +187,14 @@ def enumerate_cuts(n: int, mode: str) -> list:
     invariance makes every cut of that size equivalent); general mode gives
     every unordered bipartition once.
     """
+    check_mode(mode)
     if mode == "symmetric":
         return [Cut.of(n, range(n - k, n)) for k in range(1, n // 2 + 1)]
-    if mode == "general":
-        # subsets of qubits 0..n-2 hit each unordered bipartition exactly once
-        return [
-            Cut.of(n, [q for q in range(n - 1) if (bits >> q) & 1])
-            for bits in range(1, 2 ** (n - 1))
-        ]
-    raise ValueError(f"mode must be 'symmetric' or 'general', got {mode!r}")
+    # subsets of qubits 0..n-2 hit each unordered bipartition exactly once
+    return [
+        Cut.of(n, [q for q in range(n - 1) if (bits >> q) & 1])
+        for bits in range(1, 2 ** (n - 1))
+    ]
 
 
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
@@ -225,7 +231,7 @@ def shannon_entropy(probs) -> float | np.ndarray:
     raises.
     """
     p = np.asarray(probs, dtype=float)
-    if not p.min() >= EIGENVALUE_FLOOR:
+    if p.size and not p.min() >= EIGENVALUE_FLOOR:
         raise ValueError(f"probability {p.min()} below {EIGENVALUE_FLOOR}")
     p = np.clip(p, 0.0, 1.0)
     terms = p * np.log2(np.where(p > 0.0, p, 1.0))
@@ -258,6 +264,23 @@ def mutual_information(rho: DensityMatrix, cut: Cut) -> float:
     return sa + sb - von_neumann_entropy(rho)
 
 
+def _branches(rho: DensityMatrix, cut: Cut, probes) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities and remainder states of the branches, one per probe row, above 1e-12."""
+    if cut.n_qubits != rho.n_qubits:
+        raise ValueError("cut does not match the state's qubit count")
+    measured = sorted(cut.measured)
+    v = np.asarray(probes, dtype=complex)
+    if v.ndim != 2 or v.shape[1] != 2 ** len(measured):
+        raise ValueError(f"probe rows {v.shape} do not fit {len(measured)} measured qubits")
+    if not np.all(np.abs(np.linalg.norm(v, axis=1) - 1.0) <= NORM_TOL):  # NaN fails too
+        raise ValueError(f"probe rows are not unit vectors within {NORM_TOL}")
+    m = np.einsum("ix,xrys,iy->irs", v.conj(), _leading_view(rho, measured), v)
+    b = np.trace(m, axis1=1, axis2=2).real
+    m, b = m[b >= PROBABILITY_FLOOR], b[b >= PROBABILITY_FLOOR]
+    # rescaling can amplify asymmetry noise
+    return b, (m + m.conj().transpose(0, 2, 1)) / (2.0 * b[:, None, None])
+
+
 def conditional_state(
     rho: DensityMatrix, cut: Cut, probe: PureState
 ) -> tuple[float, Optional[DensityMatrix]]:
@@ -268,20 +291,20 @@ def conditional_state(
     the branch is reported as (0.0, None); such branches contribute nothing to
     a conditional entropy.
     """
-    measured = sorted(cut.measured)
-    if cut.n_qubits != rho.n_qubits:
-        raise ValueError("cut does not match the state's qubit count")
-    if probe.n_qubits != len(measured):
-        raise ValueError(
-            f"probe acts on {probe.n_qubits} qubits, measured block has {len(measured)}"
-        )
-    v = probe.amplitudes
-    m = np.einsum("x,xrys,y->rs", v.conj(), _leading_view(rho, measured), v)
-    b = float(m.trace().real)
-    if b < PROBABILITY_FLOOR:
+    b, m = _branches(rho, cut, probe.amplitudes[None, :])
+    if not b.size:
         return 0.0, None
-    m = (m + m.conj().T) / (2.0 * b)  # rescaling can amplify asymmetry noise
-    return b, DensityMatrix(rho.n_qubits - len(measured), m)
+    return float(b[0]), DensityMatrix(rho.n_qubits - len(cut.measured), m[0])
+
+
+def conditional_entropy(rho: DensityMatrix, cut: Cut, probes) -> float:
+    """Sum of b_i S(rho_i) over the branches of measuring `cut`'s block on each row of `probes`.
+
+    Rows are unit vectors indexed as `conditional_state`'s probe; branches
+    below 1e-12 add nothing.  All spectra come from one batched eigensolve.
+    """
+    b, states = _branches(rho, cut, probes)
+    return float(b @ shannon_entropy(np.linalg.eigvalsh(states)))
 
 
 def embed_operator(op: np.ndarray, qubits: Sequence[int], n_qubits: int) -> np.ndarray:

@@ -68,8 +68,9 @@ def thermo_state(n: int, p0: float) -> DensityMatrix:
     all-ones levels are coherently remixed: the two extremal populations become
     (p0^n + p1^n)/2 with coherence (p0^n - p1^n)/2, while every intermediate
     computational level keeps its product weight p0^j p1^(n-j), where j is the
-    number of qubits in |0>.  At p0 = 1/2 the state is maximally mixed, and
-    p0 <-> p1 is a global bit flip.
+    number of qubits in |0>.  At p0 = 1/2 the state is maximally mixed.
+    p0 <-> p1 is a global bit flip followed by Z on any one qubit: the flip
+    alone keeps the coherence, which the exchange negates.
     """
     check_qubit_count(n, minimum=2)
     p0 = _check_unit_interval(p0, "p0")
@@ -155,20 +156,16 @@ def symmetric_basis(k: int, theta: float) -> MeasurementBasis:
     theta = float(theta)
     dim = 2**k
     c, s = math.cos(theta), math.sin(theta)
-    v1 = np.zeros(dim, dtype=complex)
-    v2 = np.zeros(dim, dtype=complex)
-    v1[0], v1[-1] = c, s
-    v2[0], v2[-1] = -s, c
-    vectors = [PureState(k, v1), PureState(k, v2)]
+    rows = np.zeros((dim, dim), dtype=complex)
+    rows[:2, [0, -1]] = [[c, s], [-s, c]]
+    filled = 2
     for j in range(1, k):
         sector = [idx for idx in range(dim) if int(idx).bit_count() == j]
         size = len(sector)
         for m in range(size):
-            vec = np.zeros(dim, dtype=complex)
-            phases = np.exp(2j * np.pi * m * np.arange(size) / size)
-            vec[sector] = phases / math.sqrt(size)
-            vectors.append(PureState(k, vec))
-    return MeasurementBasis(k, tuple(vectors))
+            rows[filled, sector] = np.exp(2j * np.pi * m * np.arange(size) / size) / math.sqrt(size)
+            filled += 1
+    return MeasurementBasis(k, tuple(PureState(k, row) for row in rows))
 
 
 def symmetry_generator(kind: str, k: int) -> np.ndarray:

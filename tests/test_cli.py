@@ -128,6 +128,12 @@ def test_size_guard_exits_3(capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_symmetric_global_discord_above_ten_qubits_exits_3(capsys):
+    code = main(["single", "thermo", "--n", "11", "--p0", "0.3", "--measure", "global_discord"])
+    assert code == 3
+    assert "cap" in capsys.readouterr().err
+
+
 def test_fast_path_completes_at_eight_qubits(capsys):
     code = main(["single", "thermo", "--n", "8", "--p0", "0.7", "--measure", "svetlichny"])
     assert code == 0

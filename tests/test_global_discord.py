@@ -11,7 +11,7 @@ from symcorr.global_discord import (
     rotation_matrix,
 )
 from symcorr.oracle import OracleConfig, oracle_global_discord
-from symcorr.qstate import DensityMatrix, partial_trace, tensor, von_neumann_entropy
+from symcorr.qstate import DensityMatrix, QubitCapError, partial_trace, tensor, von_neumann_entropy
 from symcorr.states import ghz_ad_closed, ghz_state, thermo_state
 
 FAST_ORACLE = OracleConfig(restarts=4, grid_density=16, seed=7)
@@ -163,3 +163,8 @@ class TestSharedAngleEvaluatorMatchesDensePath:
         with pytest.raises(ValueError) as info:
             global_discord(DensityMatrix.maximally_mixed(1))
         assert type(info.value) is ValueError
+
+    def test_symmetric_mode_refuses_eleven_qubits_up_front(self):
+        # the grid scan would hold an 8.6 GB intermediate; the cap fires first
+        with pytest.raises(QubitCapError, match="capped at 10 qubits"):
+            global_discord(thermo_state(11, 0.3))

@@ -1,6 +1,9 @@
 """Properties on generated inputs: the state families' X form, the batched
-Shannon entropy, qubit-block reductions and the Svetlichny polynomial."""
+Shannon entropy, qubit-block reductions, the conditional-entropy kernel, the
+Svetlichny polynomial, and the bounds 0 <= D <= MI, classical >= 0 and global
+discord >= 0 on permutation-invariant states."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,12 +12,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from symcorr.genuine import bipartite_discord, genuine_correlations
+from symcorr.global_discord import global_discord
 from symcorr.nonlocality import SettingsTable, correlation, svetlichny_expansion, svetlichny_value
 from symcorr.qstate import (
     Cut,
     DensityMatrix,
     PureState,
+    conditional_entropy,
     conditional_state,
+    enumerate_cuts,
+    mutual_information,
     partial_trace,
     permutation_unitary,
     require_permutation_symmetric,
@@ -180,6 +188,78 @@ def test_conditional_state_matches_permuted_kron_reference(case, probe_seed):
     b, cond = conditional_state(rho, Cut.of(n, measured), probe)
     assert abs(b - b_ref) <= 1e-12
     assert np.abs(cond.data - m / b_ref).max() <= 1e-12
+
+
+def _reference_conditional_entropy(rho, measured, rows):
+    """sum_i b_i S(rho_i) with explicit (<v_i| x I) projectors on the permuted state."""
+    n, k = rho.n_qubits, len(measured)
+    u = _to_front(n, measured)
+    moved = u @ rho.data @ u.conj().T
+    total = 0.0
+    for v in rows:
+        ket = np.kron(v[:, None], np.eye(2 ** (n - k)))
+        m = ket.conj().T @ moved @ ket
+        b = m.trace().real
+        if b >= 1e-12:
+            lam = np.clip(np.linalg.eigvalsh((m + m.conj().T) / (2.0 * b)), 0.0, 1.0)
+            lam = lam[lam > 0.0]
+            total += b * -np.sum(lam * np.log2(lam))
+    return total
+
+
+@PROPS
+@given(case=state_and_block(), seed=seeds, data=st.data())
+def test_conditional_entropy_matches_kron_reference(case, seed, data):
+    rho, measured = case
+    d = 2 ** len(measured)
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    subset = data.draw(st.none() | st.sets(st.integers(0, d - 1)))
+    rows = q if subset is None else q[sorted(subset)]  # a full unitary, or some of its rows
+    ce = conditional_entropy(rho, Cut.of(rho.n_qubits, measured), rows)
+    assert isinstance(ce, float)
+    assert abs(ce - _reference_conditional_entropy(rho, measured, rows)) <= 1e-12
+
+
+def test_conditional_entropy_edge_cases():
+    rho = _random_state(2, np.random.default_rng(5))
+    cut = Cut.of(2, {0})
+    assert conditional_entropy(rho, cut, np.empty((0, 2))) == 0.0
+    zero2 = PureState.basis_state(2, 0).to_density_matrix()  # |00><00|, measured on |1>
+    assert conditional_entropy(zero2, cut, np.array([[0.0, 1.0]])) == 0.0
+    with pytest.raises(ValueError, match="probe"):
+        conditional_entropy(rho, cut, np.eye(4))
+    with pytest.raises(ValueError, match="unit"):
+        conditional_entropy(rho, cut, np.array([[1.0, 0.0], [0.0, 1.0 + 1e-9]]))
+
+
+def _permutation_average(n, rng):
+    """A random state averaged over all n! qubit permutations."""
+    data = _random_state(n, rng).data
+    us = [permutation_unitary(n, p) for p in itertools.permutations(range(n))]
+    return DensityMatrix(n, sum(u @ data @ u.T for u in us) / len(us))
+
+
+def _ghz_dicke_plus_mixture(n, rng):
+    """Random weights on GHZ, a random-excitation Dicke state and |+...+>."""
+    weight = np.array([bin(i).count("1") for i in range(2**n)])
+    ghz = (weight == 0) | (weight == n)
+    kets = [ghz, weight == rng.integers(0, n + 1), np.ones(2**n)]
+    kets = [k / np.linalg.norm(k) for k in np.array(kets, dtype=float)]
+    data = sum(p * np.outer(k, k) for p, k in zip(rng.dirichlet(np.ones(3)), kets))
+    return DensityMatrix(n, data)
+
+
+@settings(database=None, derandomize=True, max_examples=15, deadline=None)
+@given(n=st.integers(2, 4), seed=seeds, make=st.sampled_from([_permutation_average, _ghz_dicke_plus_mixture]))
+def test_symmetric_state_bounds(n, seed, make):
+    rho = make(n, np.random.default_rng(seed))
+    for cut in enumerate_cuts(n, "symmetric"):
+        for c in (cut, Cut(cut.remainder, cut.measured)):
+            discord, _ = bipartite_discord(rho, c)
+            assert 0.0 <= discord <= mutual_information(rho, c) + 1e-9
+    assert genuine_correlations(rho).classical >= 0.0
+    assert global_discord(rho)[0] >= 0.0
 
 
 @PROPS

@@ -21,6 +21,8 @@ from symcorr.qstate import (
     total_correlations,
     von_neumann_entropy,
 )
+from symcorr.genuine import bipartite_discord
+from symcorr.global_discord import global_discord
 from symcorr.states import ghz_ad_closed, ghz_state, symmetric_basis, thermo_state
 
 
@@ -435,6 +437,15 @@ class TestEnumerateCuts:
         unordered = {frozenset((c.measured, c.remainder)) for c in cuts}
         assert len(unordered) == len(cuts) == 2 ** (n - 1) - 1
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode must be"):
-            enumerate_cuts(3, "exhaustive")
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda mode: enumerate_cuts(3, mode),
+            lambda mode: bipartite_discord(thermo_state(3, 0.3), Cut.of(3, {2}), mode),
+            lambda mode: global_discord(thermo_state(3, 0.3), mode),
+        ],
+        ids=["enumerate_cuts", "bipartite_discord", "global_discord"],
+    )
+    def test_unknown_mode_rejected(self, call):
+        with pytest.raises(ValueError, match="mode must be 'symmetric' or 'general', got 'exhaustive'"):
+            call("exhaustive")
