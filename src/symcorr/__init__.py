@@ -5,7 +5,7 @@ generalized Svetlichny nonlocality, computed with symmetry-reduced
 measurement optimizations and validated by brute-force oracles.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .channels import ChannelSpec, amplitude_damp, apply_local_channel, kraus_operators, phase_damp
 from .genuine import (
@@ -50,12 +50,10 @@ from .qstate import (
     von_neumann_entropy,
 )
 from .states import (
-    MeasurementBasis,
     ghz_ad_closed,
     ghz_pd_closed,
     ghz_state,
     symmetric_basis,
-    symmetry_generator,
     thermo_state,
 )
 
@@ -66,7 +64,6 @@ __all__ = [
     "Cut",
     "DensityMatrix",
     "GenuineReport",
-    "MeasurementBasis",
     "PureState",
     "QubitCapError",
     "RotationAngles",
@@ -100,7 +97,6 @@ __all__ = [
     "svetlichny_expansion",
     "svetlichny_value",
     "symmetric_basis",
-    "symmetry_generator",
     "tensor",
     "thermo_state",
     "total_correlations",

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .optim import grid_golden_min
+from .optim import fold_theta, grid_golden_min
 from .qstate import (
     Cut,
     DensityMatrix,
@@ -71,7 +71,7 @@ def _symmetric_conditional_entropy(rho: DensityMatrix, cut: Cut):
     The Fourier-sector rows do not depend on theta and are measured once; only
     the extremal pair is rotated and measured per angle.
     """
-    rows = np.array([v.amplitudes for v in symmetric_basis(len(cut.measured), 0.0).vectors])
+    rows = symmetric_basis(len(cut.measured), 0.0)
     fixed = conditional_entropy(rho, cut, rows[2:])
 
     def ce(theta: float) -> float:
@@ -87,7 +87,7 @@ def _symmetric_discord(rho: DensityMatrix, cut: Cut) -> tuple[float, float]:
     ce = _symmetric_conditional_entropy(rho, cut)
     theta, ce_min = grid_golden_min(ce, 0.0, math.pi / 2.0, num=_GRID_POINTS, tol=THETA_TOL)
     discord = _clamp_nonneg(s_measured - s_rho + ce_min, "discord")
-    return discord, theta
+    return discord, fold_theta(theta)
 
 
 def _cut_discord(rho: DensityMatrix, mode: str, context: str):
@@ -108,8 +108,9 @@ def bipartite_discord(
 
     Symmetric mode (permutation-invariant states only) minimizes the measured
     conditional entropy over the single angle of `symmetric_basis` and returns
-    (discord, optimal_theta).  General mode delegates to the brute-force
-    basis-search oracle and returns (discord, None).
+    (discord, optimal_theta), theta folded into (0, pi/2].  General mode
+    delegates to the brute-force basis-search oracle and returns
+    (discord, None).
     """
     if cut.n_qubits != rho.n_qubits:
         raise ValueError("cut does not match the state's qubit count")

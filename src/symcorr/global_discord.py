@@ -21,7 +21,7 @@ from functools import partial, reduce
 
 import numpy as np
 
-from .optim import golden_section_min
+from .optim import fold_theta, golden_section_min
 from .qstate import (
     DensityMatrix,
     QubitCapError,
@@ -38,7 +38,6 @@ _GRID_CHUNK = 256
 _MAX_SYMMETRIC_QUBITS = 10  # the grid chunk's intermediate is 2.1 GB here, 8.6 GB at n = 11
 _REFINE_SWEEPS = 3
 _REFINE_TOL = 1e-7
-_SEAM_TOL = 1e-6
 _TWO_PI = 2.0 * math.pi
 
 
@@ -163,14 +162,6 @@ def _symmetric_grid_scan(values) -> tuple[float, float, float]:
     return best
 
 
-def _fold_theta(theta: float) -> float:
-    """Canonical representative in (0, pi/2]; the projector set has period pi/2."""
-    t = theta % (math.pi / 2.0)
-    if t <= _SEAM_TOL:
-        return math.pi / 2.0
-    return t
-
-
 def global_discord(
     rho: DensityMatrix, mode: str = "symmetric"
 ) -> tuple[float, RotationAngles]:
@@ -210,7 +201,7 @@ def global_discord(
         p, _ = golden_section_min(lambda x: objective(t, x), p - hp, p + hp, tol=_REFINE_TOL)
         ht /= 8.0
         hp /= 8.0
-    t = _fold_theta(t)
+    t = fold_theta(t)
     p = p % _TWO_PI
     value = objective(t, p)
     if value < -1e-9:

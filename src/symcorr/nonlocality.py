@@ -2,8 +2,10 @@
 
 The polynomial is built from the two-outcome recursion
 m_k = (m_{k-1} (o_k + O_k) + M_{k-1} (o_k - O_k)) / 2 (and its partner), with
-the even/odd assembly N_n = m_n (n even) or (m_n + M_n) / 2 (n odd).  Each
-monomial corresponds to one n-qubit correlation function measured in the
+the even/odd assembly N_n = m_n (n even) or (m_n + M_n) / 2 (n odd).
+Unrolled, every monomial weighs +-2^-floor((n+1)/2), with a sign set only by
+how many second settings it holds (Collins et al., PRL 88, 170405 (2002)).
+Each monomial corresponds to one n-qubit correlation function measured in the
 equatorial plane, R(theta) = cos(theta) sigma_x + sin(theta) sigma_y per
 qubit.  The hidden-variable bound of the normalized polynomial is 1.
 
@@ -19,12 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .optim import grid_golden_min
-from .qstate import DensityMatrix
+from .qstate import DensityMatrix, basis_bits, check_qubit_count
 
 _FAST_PATH_TOL = 1e-12
 _IMAG_TOL = 1e-10
@@ -62,48 +63,23 @@ class SvetlichnyBounds:
     separability_thresholds: tuple
 
 
-@lru_cache(maxsize=None)
-def _expansion_items(n: int) -> tuple:
-    m = {(1,): Fraction(1)}
-    big_m = {(2,): Fraction(1)}
-    half = Fraction(1, 2)
-    for _ in range(n - 1):
-        next_m, next_big = {}, {}
-        keys = set(m) | set(big_m)
-        for q in keys:
-            mq = m.get(q, Fraction(0))
-            bq = big_m.get(q, Fraction(0))
-            for setting, (cm, cb) in (
-                (1, (half * (mq + bq), half * (bq - mq))),
-                (2, (half * (mq - bq), half * (bq + mq))),
-            ):
-                if cm:
-                    next_m[q + (setting,)] = next_m.get(q + (setting,), Fraction(0)) + cm
-                if cb:
-                    next_big[q + (setting,)] = next_big.get(q + (setting,), Fraction(0)) + cb
-        m, big_m = next_m, next_big
-    if n % 2 == 0:
-        final = m
-    else:
-        final = {}
-        for q in set(m) | set(big_m):
-            w = (m.get(q, Fraction(0)) + big_m.get(q, Fraction(0))) / 2
-            if w:
-                final[q] = w
-    return tuple(sorted(final.items()))
+def _monomial_weights(bits: np.ndarray) -> np.ndarray:
+    """Weight of each monomial, one per row of a `basis_bits` table (bit 1 = second setting).
+
+    Every weight is +-2^-floor((n+1)/2); with t second settings the sign is +
+    iff (2t - 2 floor((n-1)/2) - 1) mod 8 is 1 or 7.
+    """
+    n = bits.shape[1]
+    phase = (2 * bits.sum(axis=1) - 2 * ((n - 1) // 2) - 1) % 8
+    return np.where((phase == 1) | (phase == 7), 1.0, -1.0) * 2.0 ** -((n + 1) // 2)
 
 
 def svetlichny_expansion(n: int) -> SvetlichnyExpansion:
     """Expansion of the n-qubit polynomial into its 2^n signed monomials."""
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError(f"need an integer n >= 2, got {n!r}")
-    return SvetlichnyExpansion(n, dict(_expansion_items(n)))
-
-
-def _bit_signs(n: int) -> np.ndarray:
-    idx = np.arange(2**n)
-    bits = (idx[:, None] >> (n - 1 - np.arange(n))) & 1
-    return 2.0 * bits - 1.0
+    check_qubit_count(n, minimum=2)
+    bits = basis_bits(n)
+    weights = _monomial_weights(bits).tolist()  # dyadic, so Fraction(w) is exact
+    return SvetlichnyExpansion(n, {tuple(q): Fraction(w) for q, w in zip((bits + 1).tolist(), weights)})
 
 
 def _antidiagonal(rho: DensityMatrix) -> np.ndarray:
@@ -124,7 +100,7 @@ def correlation(rho: DensityMatrix, angles) -> float:
     theta = np.asarray(angles, dtype=float).reshape(-1)
     if theta.size != n:
         raise ValueError(f"need one angle per qubit ({n}), got {theta.size}")
-    phases = np.exp(1j * (_bit_signs(n) @ theta))
+    phases = np.exp(1j * ((2.0 * basis_bits(n) - 1.0) @ theta))
     value = complex((_antidiagonal(rho) * phases).sum())
     if abs(value.imag) > _IMAG_TOL:
         raise ValueError(f"correlation has imaginary part {value.imag}")
@@ -134,11 +110,10 @@ def correlation(rho: DensityMatrix, angles) -> float:
 def _svetlichny_evaluator(rho: DensityMatrix):
     """The polynomial of `rho` as a function of an (n, 2) per-qubit angle table."""
     n = rho.n_qubits
-    items = _expansion_items(n)
-    signs = _bit_signs(n)
+    choices = basis_bits(n)
+    signs = 2.0 * choices - 1.0
+    weights = _monomial_weights(choices)
     anti = _antidiagonal(rho)
-    weights = np.array([float(w) for _, w in items])
-    choices = np.array([[q[i] - 1 for i in range(n)] for q, _ in items])
     qubits = np.arange(n)[None, :]
 
     def value(table: np.ndarray) -> float:

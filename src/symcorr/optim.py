@@ -1,4 +1,4 @@
-"""One-dimensional minimizers shared by the measurement-angle searches."""
+"""One-dimensional minimizers and the canonical angle fold shared by the measurement-angle searches."""
 
 from __future__ import annotations
 
@@ -7,6 +7,18 @@ import math
 import numpy as np
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_SEAM_TOL = 1e-6
+
+
+def fold_theta(theta: float) -> float:
+    """Canonical representative in (0, pi/2] of an angle whose projector set has period pi/2.
+
+    Angles at most 1e-6 past a multiple of pi/2 read as pi/2.
+    """
+    t = theta % (math.pi / 2.0)
+    if t <= _SEAM_TOL:
+        return math.pi / 2.0
+    return t
 
 
 def golden_section_min(fn, lo: float, hi: float, tol: float = 1e-6) -> tuple[float, float]:

@@ -50,6 +50,11 @@ def check_mode(mode: str) -> None:
         raise ValueError(f"mode must be {' or '.join(map(repr, MODES))}, got {mode!r}")
 
 
+def basis_bits(n: int) -> np.ndarray:
+    """(2^n, n) table of 0/1 bits: row i holds the bits of basis index i, qubit 0 first."""
+    return (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+
+
 def _qubits_for_length(length: int) -> int:
     """n such that `length` == 2^n, n >= 1; integer arithmetic only."""
     if length < 2 or length & (length - 1):

@@ -2,23 +2,20 @@
 
 Covers the symmetric mixed states produced by coherently remixing the extremal
 levels of a thermal product state, weighted GHZ states with their amplitude-
-and phase-damped closed forms, the single-angle measurement basis families
-used by the discord optimizers, and the symmetry operators (translation and
-parity-phase) that those bases diagonalize.
+and phase-damped closed forms, and the single-angle measurement basis
+families used by the discord optimizers.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import DensityMatrix, PureState, check_qubit_count, permutation_unitary
+from .qstate import DensityMatrix, PureState, basis_bits, check_qubit_count
 
 ALPHA_MAX_STRICT = 1.0 / math.sqrt(2.0)
-_ORTHONORMALITY_TOL = 1e-10
 
 
 def _check_unit_interval(value: float, name: str) -> float:
@@ -54,8 +51,7 @@ def _x_state(n: int, populations, coherence: float) -> DensityMatrix:
     `populations[w]` sits on every basis state with w qubits in |1>,
     w = 0..n; `coherence` sits on both corners.
     """
-    idx = np.arange(2**n)
-    weight = sum((idx >> q) & 1 for q in range(n))
+    weight = basis_bits(n).sum(axis=1)
     mat = np.diag(np.asarray(populations, dtype=complex)[weight])
     mat[0, -1] = mat[-1, 0] = coherence
     return DensityMatrix(n, mat)
@@ -123,28 +119,11 @@ def ghz_pd_closed(n: int, alpha1: float, gamma: float, strict: bool = False) -> 
     return _x_state(n, populations, alpha1 * alpha2 * (1.0 - gamma) ** (n / 2.0))
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementBasis:
-    """Complete orthonormal set of 2^k projective probes on a k-qubit block."""
-
-    block_size: int
-    vectors: tuple
-
-    def __post_init__(self):
-        dim = 2**self.block_size
-        if len(self.vectors) != dim:
-            raise ValueError(f"basis needs {dim} vectors, got {len(self.vectors)}")
-        stacked = np.array([v.amplitudes for v in self.vectors]).T
-        gram = stacked.conj().T @ stacked
-        if np.abs(gram - np.eye(dim)).max() > _ORTHONORMALITY_TOL:
-            raise ValueError("basis vectors are not orthonormal within 1e-10")
-        object.__setattr__(self, "vectors", tuple(self.vectors))
-
-
-def symmetric_basis(k: int, theta: float) -> MeasurementBasis:
+def symmetric_basis(k: int, theta: float) -> np.ndarray:
     """Single-angle measurement basis for a permutation-symmetric k-qubit block.
 
-    The first two vectors are the theta-rotated extremal pair
+    Returns the 2^k orthonormal probes as the rows of a read-only complex
+    (2^k, 2^k) array.  The first two rows are the theta-rotated extremal pair
     cos(theta)|0..0> + sin(theta)|1..1> and -sin(theta)|0..0> + cos(theta)|1..1>.
     Each intermediate excitation sector (j qubits in |1>, 0 < j < k) is filled
     with its C(k, j) Fourier modes over the lexicographically ordered basis
@@ -154,44 +133,16 @@ def symmetric_basis(k: int, theta: float) -> MeasurementBasis:
     """
     check_qubit_count(k)
     theta = float(theta)
-    dim = 2**k
     c, s = math.cos(theta), math.sin(theta)
-    rows = np.zeros((dim, dim), dtype=complex)
+    rows = np.zeros((2**k, 2**k), dtype=complex)
     rows[:2, [0, -1]] = [[c, s], [-s, c]]
+    weight = basis_bits(k).sum(axis=1)
     filled = 2
     for j in range(1, k):
-        sector = [idx for idx in range(dim) if int(idx).bit_count() == j]
-        size = len(sector)
-        for m in range(size):
-            rows[filled, sector] = np.exp(2j * np.pi * m * np.arange(size) / size) / math.sqrt(size)
-            filled += 1
-    return MeasurementBasis(k, tuple(PureState(k, row) for row in rows))
-
-
-def symmetry_generator(kind: str, k: int) -> np.ndarray:
-    """Unitary on a k-qubit block that leaves the symmetric state families fixed.
-
-    `kind` is "translation" (cyclic shift of the block's qubits) or
-    "parity_phase" (diagonal: the 0-count parity times a per-|1> phase,
-    exp(i pi / k) for odd k and exp(2 i pi / k) for even k > 2; for k = 2 the
-    phase degenerates and the plain parity is returned).  The parity-phase
-    sign convention makes |0...0> and |1...1> eigenvectors with eigenvalue +1
-    for odd k.
-    """
-    check_qubit_count(k)
-    if kind == "translation":
-        return permutation_unitary(k, [(i + 1) % k for i in range(k)]).astype(complex)
-    if kind == "parity_phase":
-        dim = 2**k
-        diag = np.zeros(dim, dtype=complex)
-        for idx in range(dim):
-            ones = int(idx).bit_count()
-            zeros = k - ones
-            if k == 2:
-                diag[idx] = (-1.0) ** zeros
-            elif k % 2 == 1:
-                diag[idx] = -((-1.0) ** zeros) * np.exp(1j * np.pi * ones / k)
-            else:
-                diag[idx] = ((-1.0) ** zeros) * np.exp(2j * np.pi * ones / k)
-        return np.diag(diag)
-    raise ValueError(f"unknown symmetry kind {kind!r}")
+        sector = np.flatnonzero(weight == j)
+        size = sector.size
+        m = np.arange(size)
+        rows[filled : filled + size, sector] = np.exp(2j * np.pi * m[:, None] * m / size) / math.sqrt(size)
+        filled += size
+    rows.flags.writeable = False
+    return rows

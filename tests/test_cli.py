@@ -48,6 +48,7 @@ def test_bounds_verb(capsys):
     assert "quantum_max" in out
     assert "2.82842712475" in out
     assert "2" in out.splitlines()[-1]
+    assert main(["bounds", "--n", "13"]) == 0  # above the dense cap: a pure formula
 
 
 def test_sweep_thermo_symmetric_and_zero_at_half(tmp_path):

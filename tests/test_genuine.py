@@ -31,7 +31,7 @@ def manual_conditional_entropy(rho, measured, theta):
     n = rho.n_qubits
     k = len(measured)
     rest = [q for q in range(n) if q not in measured]
-    probes = [v.amplitudes for v in symmetric_basis(k, theta).vectors]
+    probes = symmetric_basis(k, theta)
     t = rho.data.reshape((2,) * (2 * n))
     total = 0.0
     for vec in probes:
@@ -165,6 +165,7 @@ class TestGenuineCorrelations:
             for cr in rep.per_cut:
                 assert cr.discord + cr.classical == pytest.approx(cr.mutual_info, abs=1e-9)
                 assert -1e-9 <= cr.discord <= cr.mutual_info + 1e-9
+                assert 0.0 < cr.optimal_theta <= np.pi / 2  # canonical: 0 reads as pi/2
 
     def test_same_size_cuts_agree(self):
         rho = thermo_state(4, 0.8)

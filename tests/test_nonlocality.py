@@ -16,7 +16,7 @@ from symcorr.nonlocality import (
     svetlichny_value,
 )
 from symcorr.oracle import oracle_lhv_bound
-from symcorr.qstate import DensityMatrix
+from symcorr.qstate import DensityMatrix, QubitCapError
 from symcorr.states import ghz_ad_closed, ghz_pd_closed, ghz_state, thermo_state
 
 SQ2 = 1 / np.sqrt(2)
@@ -46,7 +46,7 @@ class TestExpansion:
             (2, 2): -half,
         }
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", range(2, 11))
     def test_matches_recursion_on_numeric_inputs(self, n):
         rng = np.random.default_rng(n)
         exp = svetlichny_expansion(n)
@@ -60,7 +60,7 @@ class TestExpansion:
             )
             assert abs(direct - summed) < 1e-12
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", range(2, 11))
     def test_uniform_dyadic_weights_and_count(self, n):
         exp = svetlichny_expansion(n)
         assert len(exp.coefficients) == 2**n
@@ -206,3 +206,11 @@ class TestBounds:
         assert bounds(3).quantum_max == pytest.approx(np.sqrt(2))
         assert bounds(5).separability_thresholds == (2.0,)
         assert bounds(7).separability_thresholds == (4.0,)
+
+    def test_bounds_are_uncapped_but_the_expansion_is_not(self):
+        # bounds are a pure formula; the expansion allocates one row per monomial
+        assert bounds(13).separability_thresholds == (32.0,)
+        with pytest.raises(QubitCapError):
+            svetlichny_expansion(13)
+        with pytest.raises(ValueError):
+            svetlichny_expansion(1)

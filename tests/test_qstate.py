@@ -9,6 +9,7 @@ from symcorr.qstate import (
     DensityMatrix,
     PureState,
     QubitCapError,
+    basis_bits,
     conditional_state,
     embed_operator,
     enumerate_cuts,
@@ -103,6 +104,11 @@ class TestTypes:
         rho = DensityMatrix.maximally_mixed(1)
         with pytest.raises(ValueError):
             rho.data[0, 0] = 2.0
+
+    def test_basis_bits_put_qubit_zero_first(self):
+        for n in range(1, 7):
+            expected = [[int(c) for c in np.binary_repr(i, n)] for i in range(2**n)]
+            assert basis_bits(n).tolist() == expected
 
 
 class TestTensorAndTrace:
@@ -279,8 +285,8 @@ class TestConditionalState:
         cut = Cut.of(3, {1, 2})
         for theta in rng.uniform(0, np.pi / 2, 3):
             total = 0.0
-            for probe in symmetric_basis(2, theta).vectors:
-                prob, _ = conditional_state(rho, cut, probe)
+            for row in symmetric_basis(2, theta):
+                prob, _ = conditional_state(rho, cut, PureState(2, row))
                 total += prob
             assert total == pytest.approx(1.0, abs=1e-10)
 

@@ -1,10 +1,15 @@
-"""Module structure: no private imports across modules, no lazy imports but the oracle's."""
+"""Module structure: no private imports across modules, no lazy imports but the
+oracle's, and one version number."""
 
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import symcorr
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -42,3 +47,9 @@ def test_import_leaves_scipy_optimize_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["False", "True"]
+
+
+def test_package_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib", reason="tomllib is in the standard library from Python 3.11")
+    project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]
+    assert project["version"] == symcorr.__version__
