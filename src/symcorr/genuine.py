@@ -31,6 +31,7 @@ from .qstate import (
     von_neumann_entropy,
 )
 from .states import symmetric_basis
+from .xstate import x_form
 
 THETA_TOL = 1e-6
 _GRID_POINTS = 64
@@ -81,21 +82,24 @@ def _symmetric_conditional_entropy(rho: DensityMatrix, cut: Cut):
     return ce
 
 
-def _symmetric_discord(rho: DensityMatrix, cut: Cut) -> tuple[float, float]:
-    s_measured = von_neumann_entropy(partial_trace(rho, cut.measured))
-    s_rho = von_neumann_entropy(rho)
-    ce = _symmetric_conditional_entropy(rho, cut)
+def _symmetric_discord(s_measured: float, s_rho: float, ce) -> tuple[float, float]:
+    """(discord, theta folded into (0, pi/2]) from the block and state entropies and ce(theta)."""
     theta, ce_min = grid_golden_min(ce, 0.0, math.pi / 2.0, num=_GRID_POINTS, tol=THETA_TOL)
     discord = _clamp_nonneg(s_measured - s_rho + ce_min, "discord")
     return discord, fold_theta(theta)
 
 
 def _cut_discord(rho: DensityMatrix, mode: str, context: str):
-    """The per-cut discord for `mode`, as cut -> (discord, optimal_theta or None)."""
+    """The per-cut discord for `mode`, as cut -> (discord, optimal_theta or None); X states by closed form."""
     check_mode(mode)
     if mode == "symmetric":
+        x = x_form(rho)
+        if x is not None:
+            return lambda cut: _symmetric_discord(
+                x.block_entropy(len(cut.measured)), x.entropy(), x.conditional_entropy(len(cut.measured)))
         require_permutation_symmetric(rho, context)
-        return lambda cut: _symmetric_discord(rho, cut)
+        return lambda cut: _symmetric_discord(von_neumann_entropy(partial_trace(rho, cut.measured)),
+                                              von_neumann_entropy(rho), _symmetric_conditional_entropy(rho, cut))
     from .oracle import DEFAULT_CONFIG, oracle_bipartite_discord
 
     return lambda cut: (oracle_bipartite_discord(rho, cut, DEFAULT_CONFIG), None)

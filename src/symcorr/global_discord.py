@@ -10,14 +10,16 @@ identity S(rho || Pi(rho)) = S(Pi(rho)) - S(rho).
 
 For permutation-invariant states one shared (theta, phi) pair suffices; the
 projector set is exactly pi/2-periodic in theta, so the search runs over
-theta in (0, pi/2] and reports the computational-basis optimum as pi/2.
+theta in (0, pi/2] and reports the computational-basis optimum as pi/2.  For X
+states phi enters only through cos(n phi - arg c), in which the entropy is
+concave, so only phi = arg c / n and (arg c + pi) / n are scanned.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from .qstate import (
     shannon_entropy,
     von_neumann_entropy,
 )
+from .xstate import XState, binomials, x_form
 
 _THETA_GRID = 64
 _PHI_GRID = 64
@@ -134,32 +137,72 @@ def _shared_rotation_probs(paired: np.ndarray, n: int, r: np.ndarray) -> np.ndar
     return p.reshape(-1, 2**n).real
 
 
-def _shared_angle_values(paired, d0, n, s_rho, s_rho0, thetas, phis) -> np.ndarray:
-    """Global-discord objective at each shared (theta, phi) pair of the arrays.
+def _shared_angle_min(dephased_entropy, d0, n, s_rho, s_rho0, phis, refine_phi) -> tuple[float, float, float]:
+    """Global discord over one shared rotation, as (value, theta, phi), theta folded into (0, pi/2].
 
-    S(Pi(rho)) - S(rho) - n [S(Pi(rho_0)) - S(rho_0)], with rho given as its
-    `_paired_tensor` and rho_0 as the single-qubit reduced matrix `d0`.
+    S(Pi(rho)) - S(rho) - n [S(Pi(rho_0)) - S(rho_0)], S(Pi(rho)) from `dephased_entropy(thetas, phis)`
+    and rho_0 the single-qubit matrix `d0`, is scanned on 64 thetas times `phis`; golden-section
+    sweeps then refine theta and, when `refine_phi`, phi in turn.
     """
-    r = rotation_matrix(thetas, phis)
-    glob = shannon_entropy(_shared_rotation_probs(paired, n, r)) - s_rho
-    local_probs = np.einsum("gak,ab,gbk->gk", r.conj(), d0, r).real
-    return glob - n * (shannon_entropy(local_probs) - s_rho0)
 
+    def values(thetas, phis):
+        r = rotation_matrix(thetas, phis)
+        local_probs = np.einsum("gak,ab,gbk->gk", r.conj(), d0, r).real
+        return dephased_entropy(thetas, phis) - s_rho - n * (shannon_entropy(local_probs) - s_rho0)
 
-def _symmetric_grid_scan(values) -> tuple[float, float, float]:
-    """Best (value, theta, phi) of `values(thetas, phis)` over the 64 x 64 grid."""
+    def objective(theta: float, phi: float) -> float:
+        return float(values(np.array([theta]), np.array([phi]))[0])
+
     thetas = np.linspace(0.0, math.pi / 2.0, _THETA_GRID + 1)[1:]
-    phis = np.linspace(0.0, _TWO_PI, _PHI_GRID, endpoint=False)
     tt, pp = [a.reshape(-1) for a in np.meshgrid(thetas, phis, indexing="ij")]
     best = (math.inf, thetas[-1], 0.0)
     for lo in range(0, tt.size, _GRID_CHUNK):
-        t_chunk = tt[lo : lo + _GRID_CHUNK]
-        p_chunk = pp[lo : lo + _GRID_CHUNK]
-        chunk = values(t_chunk, p_chunk)
+        chunk = values(tt[lo : lo + _GRID_CHUNK], pp[lo : lo + _GRID_CHUNK])
         i = int(np.argmin(chunk))
         if chunk[i] < best[0]:
-            best = (float(chunk[i]), float(t_chunk[i]), float(p_chunk[i]))
-    return best
+            best = (float(chunk[i]), float(tt[lo + i]), float(pp[lo + i]))
+    _, t, p = best
+    ht, hp = (math.pi / 2.0) / _THETA_GRID, _TWO_PI / _PHI_GRID
+    for _ in range(_REFINE_SWEEPS if refine_phi else 1):  # with phi fixed one sweep suffices
+        t, _ = golden_section_min(lambda v: objective(v, p), t - ht, t + ht, tol=_REFINE_TOL)
+        if refine_phi:
+            p, _ = golden_section_min(lambda v: objective(t, v), p - hp, p + hp, tol=_REFINE_TOL)
+        ht /= 8.0
+        hp /= 8.0
+    t, p = fold_theta(t), p % _TWO_PI
+    if p == _TWO_PI:  # a negative angle within an ulp of 0 rounds up to 2 pi
+        p = 0.0
+    value = objective(t, p)
+    if value < -1e-9:
+        raise ValueError(f"global discord evaluated to {value}, below the numerical slack")
+    return max(value, 0.0), t, p
+
+
+def _dense_shared_angle(rho: DensityMatrix) -> tuple[float, float, float]:
+    """Shared-angle global discord by the dense contraction: every non-X state, and the X path's validator."""
+    n = rho.n_qubits
+    require_permutation_symmetric(rho, "symmetric-mode global discord")
+    rho0 = partial_trace(rho, {0})
+    paired = _paired_tensor(rho.data, n)
+
+    def dephased(thetas, phis):
+        return shannon_entropy(_shared_rotation_probs(paired, n, rotation_matrix(thetas, phis)))
+
+    phis = np.linspace(0.0, _TWO_PI, _PHI_GRID, endpoint=False)
+    s_rho, s_rho0 = von_neumann_entropy(rho), von_neumann_entropy(rho0)
+    return _shared_angle_min(dephased, rho0.data, n, s_rho, s_rho0, phis, True)
+
+
+def _x_shared_angle(x: XState, n: int) -> tuple[float, float, float]:
+    """Shared-angle global discord of an X state, phi on its branches arg c / n and (arg c + pi) / n."""
+    distribution = x.weight_distribution()
+
+    def dephased(thetas, phis):
+        return shannon_entropy(distribution(thetas, phis)[..., None]) @ binomials(n)[n]
+
+    phis = (np.angle(x.corner) + np.array([0.0, math.pi])) / n
+    d0 = np.diag(x.block_populations(1))
+    return _shared_angle_min(dephased, d0, n, x.entropy(), x.block_entropy(1), phis, False)
 
 
 def global_discord(
@@ -169,7 +212,8 @@ def global_discord(
 
     Symmetric mode (permutation-invariant states) shares one (theta, phi) pair
     across all qubits and runs a 64 x 64 grid with coordinate-wise
-    golden-section refinement.  General mode optimizes all 2n angles through
+    golden-section refinement; X states scan 64 thetas on their two phi
+    branches and refine theta alone.  General mode optimizes all 2n angles through
     the multi-start oracle (small systems only).
     """
     check_mode(mode)
@@ -183,27 +227,6 @@ def global_discord(
             f"symmetric global discord is capped at {_MAX_SYMMETRIC_QUBITS} qubits, got {n}: its grid "
             f"scan would hold {_GRID_CHUNK * 2 * 4 ** (n - 1) * 16 / 1e9:.1f} GB at once"
         )
-    require_permutation_symmetric(rho, "symmetric-mode global discord")
-    rho0 = partial_trace(rho, {0})
-    values = partial(
-        _shared_angle_values, _paired_tensor(rho.data, n), rho0.data, n,
-        von_neumann_entropy(rho), von_neumann_entropy(rho0),
-    )
-
-    def objective(theta: float, phi: float) -> float:
-        return float(values(np.array([theta]), np.array([phi]))[0])
-
-    _, t, p = _symmetric_grid_scan(values)
-    ht = (math.pi / 2.0) / _THETA_GRID
-    hp = _TWO_PI / _PHI_GRID
-    for _ in range(_REFINE_SWEEPS):
-        t, _ = golden_section_min(lambda x: objective(x, p), t - ht, t + ht, tol=_REFINE_TOL)
-        p, _ = golden_section_min(lambda x: objective(t, x), p - hp, p + hp, tol=_REFINE_TOL)
-        ht /= 8.0
-        hp /= 8.0
-    t = fold_theta(t)
-    p = p % _TWO_PI
-    value = objective(t, p)
-    if value < -1e-9:
-        raise ValueError(f"global discord evaluated to {value}, below the numerical slack")
-    return max(value, 0.0), RotationAngles.uniform(n, t, p)
+    x = x_form(rho)
+    value, t, p = _dense_shared_angle(rho) if x is None else _x_shared_angle(x, n)
+    return value, RotationAngles.uniform(n, t, p)

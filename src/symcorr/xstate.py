@@ -1,0 +1,116 @@
+"""X states: one population per excitation count plus the corner |0...0><1...1|.
+
+Every spectrum the symmetric measures need of one is its populations, with binomial multiplicities, plus
+at most one 2 x 2 block (Yu & Eberly, QIC 7, 459 (2007); Ali, Rau & Alber, PRA 81, 042105 (2010)).
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
+
+from .qstate import INVARIANCE_TOL, PROBABILITY_FLOOR, DensityMatrix, basis_bits, shannon_entropy
+
+
+@lru_cache(maxsize=None)
+def binomials(n: int) -> np.ndarray:
+    """(n+1, n+1) table of C(i, j), zero for j > i; exact in floats for n <= 12."""
+    table = np.array([[math.comb(i, j) for j in range(n + 1)] for i in range(n + 1)], dtype=float)
+    table.flags.writeable = False
+    return table
+
+
+def x_entropy(d, z):
+    """Entropy of the m-qubit X state with populations d[..., w] and corner z; leading axes batch."""
+    m = d.shape[-1] - 1
+    mean = (d[..., 0] + d[..., m]) / 2.0
+    r = np.hypot((d[..., 0] - d[..., m]) / 2.0, np.abs(z))
+    spectrum = np.concatenate([(mean + r)[..., None], (mean - r)[..., None], d[..., 1:m]], axis=-1)
+    return shannon_entropy(spectrum[..., None]) @ np.concatenate([[1.0, 1.0], binomials(m)[m, 1:m]])
+
+
+def _branch_sum(d, z, counts) -> float:
+    """Sum of counts[i] b_i S(branch_i / b_i) over branches (populations d[i], corner z[i]), b_i >= 1e-12."""
+    m = d.shape[-1] - 1
+    b = d @ binomials(m)[m]
+    keep = b >= PROBABILITY_FLOOR
+    b = b[keep]
+    return float((counts[keep] * b) @ x_entropy(d[keep] / b[:, None], z[keep] / b))
+
+
+@dataclass(frozen=True)
+class XState:
+    """Populations p_0..p_n by excitation count and the corner c = rho[0...0, 1...1], n >= 2."""
+
+    populations: np.ndarray
+    corner: complex
+
+    def entropy(self) -> float:
+        return float(x_entropy(self.populations, self.corner))
+
+    def block_populations(self, k: int) -> np.ndarray:
+        """Populations by excitation count of any k-qubit block, 0 < k < n; the block is diagonal."""
+        m = self.populations.size - 1 - k
+        return np.correlate(self.populations, binomials(m)[m], "valid")
+
+    def block_entropy(self, k: int) -> float:
+        return float(x_entropy(self.block_populations(k), 0.0))
+
+    def conditional_entropy(self, k: int):
+        """ce(theta) of measuring a k-qubit block in `symmetric_basis(k, theta)`.
+
+        Each weight-j sector probe, 0 < j < k, leaves populations p_{j+w} at every theta; the rotated
+        extremal pair leaves cos^2 p_w + sin^2 p_{k+w} and sin^2 p_w + cos^2 p_{k+w}, corners +-cos sin c.
+        """
+        windows = np.lib.stride_tricks.sliding_window_view(self.populations, self.populations.size - k)
+        fixed = _branch_sum(windows[1:k], np.zeros(k - 1), binomials(k)[k, 1:k])
+        pair, ones = np.stack([windows[0], windows[k]]), np.ones(2)
+
+        def ce(theta: float) -> float:
+            c, s = math.cos(theta), math.sin(theta)
+            d = np.array([[c * c, s * s], [s * s, c * c]]) @ pair
+            return fixed + _branch_sum(d, np.array([1.0, -1.0]) * (c * s * self.corner), ones)
+
+        return ce
+
+    def weight_distribution(self):
+        """Outcome probability per weight w after dephasing in R(theta, phi), a function of angle arrays.
+
+        sum_{a,b} C(n-w, a) C(w, b) p_{a+b} sin^{2(a+w-b)} cos^{2(n-w-a+b)} (tabulated over w, a+w-b)
+        + 2 Re(c e^{-i n phi}) (-1)^{n-w} (cos sin)^n.
+        """
+        n = self.populations.size - 1
+        w, a, b = np.ogrid[: n + 1, : n + 1, : n + 1]  # C(n-w, a) C(w, b) vanishes off the sum
+        terms = binomials(n)[n - w, a] * binomials(n)[w, b] * self.populations[np.minimum(a + b, n)]
+        table = np.zeros((n + 1, n + 1))
+        np.add.at(table, (np.broadcast_to(w, terms.shape), np.clip(a + w - b, 0, n)), terms)
+        e = np.arange(n + 1)
+
+        def distribution(thetas, phis):
+            c, s = np.cos(thetas)[..., None], np.sin(thetas)[..., None]
+            corner = 2.0 * (self.corner * np.exp(-1j * n * phis[..., None])).real * (c * s) ** n
+            return (s ** (2 * e) * c ** (2 * (n - e))) @ table.T + corner * (-1.0) ** (n - e)
+
+        return distribution
+
+
+def x_form(rho: DensityMatrix) -> XState | None:
+    """The X form of `rho`, or None below 2 qubits or outside the class; O(4^n).
+
+    Every off-diagonal entry but the two corners must be at most INVARIANCE_TOL
+    in modulus, and the diagonal constant within it on each excitation count.
+    """
+    n = rho.n_qubits
+    off = np.abs(rho.data)
+    np.fill_diagonal(off, 0.0)
+    off[0, -1] = off[-1, 0] = 0.0
+    diag = rho.data.diagonal().real
+    populations = diag[2 ** np.arange(n + 1) - 1]  # index 2^w - 1 holds w excitations
+    uneven = np.abs(diag - populations[basis_bits(n).sum(axis=1)])
+    if n < 2 or not max(off.max(), uneven.max()) <= INVARIANCE_TOL:
+        return None
+    populations.flags.writeable = False
+    return XState(populations, complex(rho.data[0, -1]))

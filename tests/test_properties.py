@@ -1,8 +1,11 @@
 """Properties on generated inputs: the state families' X form, the batched
 Shannon entropy, qubit-block reductions, the conditional-entropy kernel, the
-Svetlichny polynomial, and the bounds 0 <= D <= MI, classical >= 0 and global
-discord >= 0 on permutation-invariant states."""
+Svetlichny polynomial, the bounds 0 <= D <= MI, classical >= 0 and global
+discord >= 0 on permutation-invariant states, and the X-state closed forms
+against the dense paths they replace."""
 
+import functools
+import importlib
 import itertools
 import math
 
@@ -12,9 +15,29 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from symcorr.genuine import bipartite_discord, genuine_correlations
-from symcorr.global_discord import global_discord
-from symcorr.nonlocality import SettingsTable, correlation, svetlichny_expansion, svetlichny_value
+from symcorr.genuine import (
+    THETA_TOL,
+    _symmetric_conditional_entropy,
+    _symmetric_discord,
+    bipartite_discord,
+    genuine_correlations,
+)
+from symcorr.global_discord import (
+    RotationAngles,
+    _dense_shared_angle,
+    dephase_in_rotated_basis,
+    global_discord,
+    rotation_matrix,
+)
+from symcorr.nonlocality import (
+    SettingsTable,
+    bounds,
+    correlation,
+    max_violation,
+    svetlichny_expansion,
+    svetlichny_value,
+)
+from symcorr.optim import grid_golden_min
 from symcorr.qstate import (
     Cut,
     DensityMatrix,
@@ -27,8 +50,10 @@ from symcorr.qstate import (
     permutation_unitary,
     require_permutation_symmetric,
     shannon_entropy,
+    von_neumann_entropy,
 )
-from symcorr.states import ghz_ad_closed, ghz_pd_closed, thermo_state
+from symcorr.states import ghz_ad_closed, ghz_pd_closed, ghz_state, thermo_state
+from symcorr.xstate import x_form
 
 PROPS = settings(database=None, derandomize=True, max_examples=40, deadline=None)
 
@@ -273,3 +298,136 @@ def test_svetlichny_value_is_weighted_sum_of_correlations(n, seed):
         for q, w in svetlichny_expansion(n).coefficients.items()
     )
     assert abs(svetlichny_value(rho, table) - expected) <= 1e-12
+
+
+def _weights(n):
+    return np.array([bin(i).count("1") for i in range(2**n)])
+
+
+@st.composite
+def x_states(draw, max_n=6):
+    """A random X state: one population per excitation count, |c| <= sqrt(p_0 p_n), random phase."""
+    n = draw(st.integers(2, max_n))
+    raw = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=n + 1, max_size=n + 1)))
+    weight = _weights(n)
+    total = raw[weight].sum()
+    assume(total > 1e-3)
+    pops = raw / total
+    corner = draw(st.floats(0.0, 1.0)) * math.sqrt(pops[0] * pops[n])
+    corner *= np.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+    data = np.diag(pops[weight]).astype(complex)
+    data[0, -1], data[-1, 0] = corner, np.conj(corner)
+    return DensityMatrix(n, data)
+
+
+def _dense_global_objective(rho, angles):
+    """S(Pi(rho)) - S(rho) - n [S(Pi(rho_0)) - S(rho_0)] by the dense change of basis."""
+    n = rho.n_qubits
+    rho0 = partial_trace(rho, {0})
+    theta, phi = angles.pairs[0]
+    local = von_neumann_entropy(dephase_in_rotated_basis(rho0, RotationAngles.uniform(1, theta, phi)))
+    glob = von_neumann_entropy(dephase_in_rotated_basis(rho, angles)) - von_neumann_entropy(rho)
+    return glob - n * (local - von_neumann_entropy(rho0))
+
+
+@PROPS
+@given(rho=x_states(), theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 2.0 * math.pi))
+def test_x_closed_forms_match_dense_spectra(rho, theta, phi):
+    n = rho.n_qubits
+    x = x_form(rho)
+    assert abs(x.entropy() - von_neumann_entropy(rho)) <= 1e-12
+    for k in range(1, n):
+        assert abs(x.block_entropy(k) - von_neumann_entropy(partial_trace(rho, range(k)))) <= 1e-12
+    basis = functools.reduce(np.kron, [rotation_matrix(theta, phi)] * n)
+    probs = (basis.conj() * (rho.data @ basis)).sum(axis=0).real  # diagonal in the rotated basis
+    distribution = x.weight_distribution()(np.array([theta]), np.array([phi]))[0]
+    assert np.abs(distribution[_weights(n)] - probs).max() <= 1e-12
+
+
+@settings(database=None, derandomize=True, max_examples=25, deadline=None)
+@given(rho=x_states())
+def test_x_global_discord_matches_dense_path(rho):
+    assert x_form(rho) is not None
+    value, angles = global_discord(rho)
+    dense, _, _ = _dense_shared_angle(rho)
+    assert abs(value - dense) <= 1e-10
+    assert abs(value - _dense_global_objective(rho, angles)) <= 1e-12
+
+
+@PROPS
+@given(rho=x_states())
+def test_x_bipartite_discord_matches_dense_kernel(rho):
+    n = rho.n_qubits
+    for k in range(1, n):
+        cut = Cut.of(n, range(n - k, n))
+        value, theta = bipartite_discord(rho, cut)
+        ce = _symmetric_conditional_entropy(rho, cut)
+        s_measured = von_neumann_entropy(partial_trace(rho, cut.measured))
+        dense, _ = _symmetric_discord(s_measured, von_neumann_entropy(rho), ce)
+        assert abs(value - dense) <= 1e-12
+        assert 0.0 < theta <= math.pi / 2.0
+        _, ce_min = grid_golden_min(ce, 0.0, math.pi / 2.0, num=64, tol=THETA_TOL)
+        assert abs(ce(theta) - ce_min) <= 1e-12
+
+
+def _ghz_plus_mixture(n, eps):
+    ghz = ghz_state(n, 1.0 / math.sqrt(2.0)).amplitudes
+    plus = np.full(2**n, 2 ** (-n / 2))
+    return DensityMatrix(n, (1.0 - eps) * np.outer(ghz, ghz.conj()) + eps * np.outer(plus, plus))
+
+
+def _two_qubit_swap_coherence():
+    data = np.diag([0.4, 0.2, 0.2, 0.2]).astype(complex)
+    data[1, 2] = data[2, 1] = 0.1  # |01><10|: symmetric, but not in the X class
+    return DensityMatrix(2, data)
+
+
+@pytest.mark.parametrize("rho", [_ghz_plus_mixture(3, 1e-3), _two_qubit_swap_coherence()], ids=["ghz+plus", "swap"])
+def test_symmetric_states_outside_x_class_take_dense_path(rho):
+    assert x_form(rho) is None
+    assert global_discord(rho)[0] == _dense_shared_angle(rho)[0]
+    n = rho.n_qubits
+    cut = Cut.of(n, {n - 1})
+    s_measured = von_neumann_entropy(partial_trace(rho, cut.measured))
+    dense = _symmetric_discord(s_measured, von_neumann_entropy(rho), _symmetric_conditional_entropy(rho, cut))
+    assert bipartite_discord(rho, cut) == dense
+
+
+def test_uneven_populations_within_one_count_take_dense_path():
+    rho = DensityMatrix(3, np.diag([0.3, 0.1, 0.2, 0.05, 0.15, 0.05, 0.05, 0.1]))
+    assert x_form(rho) is None
+    with pytest.raises(ValueError, match="general"):
+        global_discord(rho)
+    with pytest.raises(ValueError, match="general"):
+        genuine_correlations(rho)
+
+
+@pytest.mark.parametrize("module, measure", [
+    ("symcorr.genuine", genuine_correlations),
+    ("symcorr.global_discord", global_discord),
+])
+def test_each_measure_call_detects_the_class_once(monkeypatch, module, measure):
+    calls = []
+
+    def counted(rho):
+        calls.append(rho)
+        return x_form(rho)
+
+    monkeypatch.setattr(importlib.import_module(module), "x_form", counted)
+    measure(thermo_state(4, 0.3))
+    assert len(calls) == 1
+
+
+@PROPS
+@given(n=st.integers(2, 8), p0=unit)
+def test_genuine_and_global_discord_symmetric_under_p0_exchange(n, p0):
+    a, b = thermo_state(n, p0), thermo_state(n, 1.0 - p0)
+    assert abs(genuine_correlations(a).quantum - genuine_correlations(b).quantum) <= 1e-9
+    assert abs(global_discord(a)[0] - global_discord(b)[0]) <= 1e-9
+
+
+@PROPS
+@given(rho=x_states(max_n=8))
+def test_svetlichny_violation_within_quantum_maximum(rho):
+    value, _ = max_violation(rho)
+    assert value <= bounds(rho.n_qubits).quantum_max + 1e-9
