@@ -22,7 +22,6 @@ from .global_discord import (
     dephase_in_rotated_basis,
     global_discord,
     global_discord_thermo_analytic,
-    rotation_matrix,
 )
 from .nonlocality import (
     SettingsTable,
@@ -44,6 +43,7 @@ from .qstate import (
     mutual_information,
     partial_trace,
     permutation_unitary,
+    rotation_matrix,
     shannon_entropy,
     tensor,
     total_correlations,

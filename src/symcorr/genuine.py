@@ -5,14 +5,18 @@ bipartite mutual information over all cuts; its quantum part is the minimum
 bipartite discord.  For symmetric states the discord minimization over
 projective bases on the measured block collapses to a single rotation angle
 (the `symmetric_basis` family), found here by a grid-seeded golden-section
-search.  A rank-2 shortcut through the purification ancilla (entanglement of
-formation of the block-ancilla pair) is provided for phase-damped GHZ states.
+search.  Symmetric mode reads every entropy and conditional entropy from the
+state's structure-class view (`xstate.symmetric_view`): closed forms for X
+states, the dense matrix otherwise.  A rank-2 shortcut through the
+purification ancilla (entanglement of formation of the block-ancilla pair) is
+provided for phase-damped GHZ states.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, partial
 from typing import Optional
 
 import numpy as np
@@ -22,21 +26,19 @@ from .qstate import (
     Cut,
     DensityMatrix,
     check_mode,
-    conditional_entropy,
     enumerate_cuts,
     mutual_information,
     partial_trace,
-    require_permutation_symmetric,
     shannon_entropy,
     von_neumann_entropy,
 )
-from .states import symmetric_basis
-from .xstate import x_form
+from .xstate import symmetric_view
 
 THETA_TOL = 1e-6
 _GRID_POINTS = 64
 _NEGATIVE_SLACK = -1e-9
 _RANK2_TOL = 1e-9
+_SIDE_TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -66,22 +68,6 @@ def _clamp_nonneg(x: float, what: str) -> float:
     return max(x, 0.0)
 
 
-def _symmetric_conditional_entropy(rho: DensityMatrix, cut: Cut):
-    """Conditional entropy over the single-angle basis family, as a function of theta.
-
-    The Fourier-sector rows do not depend on theta and are measured once; only
-    the extremal pair is rotated and measured per angle.
-    """
-    rows = symmetric_basis(len(cut.measured), 0.0)
-    fixed = conditional_entropy(rho, cut, rows[2:])
-
-    def ce(theta: float) -> float:
-        c, s = math.cos(theta), math.sin(theta)
-        return fixed + conditional_entropy(rho, cut, np.array([[c, s], [-s, c]]) @ rows[:2])
-
-    return ce
-
-
 def _symmetric_discord(s_measured: float, s_rho: float, ce) -> tuple[float, float]:
     """(discord, theta folded into (0, pi/2]) from the block and state entropies and ce(theta)."""
     theta, ce_min = grid_golden_min(ce, 0.0, math.pi / 2.0, num=_GRID_POINTS, tol=THETA_TOL)
@@ -89,20 +75,27 @@ def _symmetric_discord(s_measured: float, s_rho: float, ce) -> tuple[float, floa
     return discord, fold_theta(theta)
 
 
-def _cut_discord(rho: DensityMatrix, mode: str, context: str):
-    """The per-cut discord for `mode`, as cut -> (discord, optimal_theta or None); X states by closed form."""
+def _cut_measures(rho: DensityMatrix, mode: str, context: str):
+    """(cut -> mutual information, cut -> (discord, optimal_theta or None)) for `mode`; symmetric mode
+    reads both from the structure-class view, with S(rho) and each block entropy computed once."""
     check_mode(mode)
-    if mode == "symmetric":
-        x = x_form(rho)
-        if x is not None:
-            return lambda cut: _symmetric_discord(
-                x.block_entropy(len(cut.measured)), x.entropy(), x.conditional_entropy(len(cut.measured)))
-        require_permutation_symmetric(rho, context)
-        return lambda cut: _symmetric_discord(von_neumann_entropy(partial_trace(rho, cut.measured)),
-                                              von_neumann_entropy(rho), _symmetric_conditional_entropy(rho, cut))
-    from .oracle import DEFAULT_CONFIG, oracle_bipartite_discord
+    if mode == "general":
+        from .oracle import DEFAULT_CONFIG, oracle_bipartite_discord
 
-    return lambda cut: (oracle_bipartite_discord(rho, cut, DEFAULT_CONFIG), None)
+        return partial(mutual_information, rho), lambda cut: (
+            oracle_bipartite_discord(rho, cut, DEFAULT_CONFIG), None)
+    view = symmetric_view(rho, context)
+    s_rho = view.entropy()
+    s_block = cache(lambda k: view.block(k).entropy())
+
+    def mutual_info(cut: Cut) -> float:
+        return s_block(len(cut.measured)) + s_block(len(cut.remainder)) - s_rho
+
+    def discord(cut: Cut) -> tuple[float, float]:
+        k = len(cut.measured)
+        return _symmetric_discord(s_block(k), s_rho, view.conditional_entropy(k))
+
+    return mutual_info, discord
 
 
 def bipartite_discord(
@@ -118,19 +111,22 @@ def bipartite_discord(
     """
     if cut.n_qubits != rho.n_qubits:
         raise ValueError("cut does not match the state's qubit count")
-    return _cut_discord(rho, mode, "symmetric-mode discord")(cut)
+    return _cut_measures(rho, mode, "symmetric-mode discord")[1](cut)
 
 
 def _direction_min(discord, cut: Cut, mode: str):
     """(cut, discord, theta) for the better of the two measurement directions.
 
     The flipped cut is tried when the blocks differ in size or, in general
-    mode, always; equal symmetric blocks measure the same way from either side.
+    mode, always (equal symmetric blocks measure the same way from either side),
+    and wins only by more than 1e-12, so rounding noise cannot flip the side.
     """
-    cuts = [cut]
-    if len(cut.measured) != len(cut.remainder) or mode == "general":
-        cuts.append(Cut(cut.remainder, cut.measured))
-    return min(((c, *discord(c)) for c in cuts), key=lambda item: item[1])
+    best = (cut, *discord(cut))
+    if len(cut.measured) == len(cut.remainder) and mode == "symmetric":
+        return best
+    flipped = Cut(cut.remainder, cut.measured)
+    other = (flipped, *discord(flipped))
+    return other if other[1] < best[1] - _SIDE_TIE_TOL else best
 
 
 def genuine_correlations(rho: DensityMatrix, mode: str = "symmetric") -> GenuineReport:
@@ -147,22 +143,14 @@ def genuine_correlations(rho: DensityMatrix, mode: str = "symmetric") -> Genuine
     if n < 2:
         raise ValueError("genuine correlations need at least 2 qubits")
     cuts = enumerate_cuts(n, mode)
-    discord_of = _cut_discord(rho, mode, "genuine_correlations")
+    mutual_info_of, discord_of = _cut_measures(rho, mode, "genuine_correlations")
 
     reports = []
     for cut in cuts:
-        mi = _clamp_nonneg(mutual_information(rho, cut), "mutual information")
+        mi = _clamp_nonneg(mutual_info_of(cut), "mutual information")
         best_cut, discord, theta = _direction_min(discord_of, cut, mode)
         discord = min(discord, mi)  # optimizer noise must not push D past MI
-        reports.append(
-            CutReport(
-                cut=best_cut,
-                mutual_info=mi,
-                discord=discord,
-                classical=mi - discord,
-                optimal_theta=theta,
-            )
-        )
+        reports.append(CutReport(best_cut, mi, discord, mi - discord, theta))
     by_mi = min(reports, key=lambda r: r.mutual_info)
     by_discord = min(reports, key=lambda r: r.discord)
     total = by_mi.mutual_info

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .channels import AMPLITUDE_DAMPING, ChannelSpec
-from .global_discord import RotationAngles, rotation_matrix
+from .global_discord import RotationAngles
 from .nonlocality import svetlichny_expansion
 from .qstate import (
     Cut,
@@ -27,6 +27,7 @@ from .qstate import (
     conditional_entropy,
     embed_operator,
     partial_trace,
+    rotation_matrix,
     shannon_entropy,
     von_neumann_entropy,
 )
@@ -124,7 +125,7 @@ def oracle_global_discord_full(
 
     def objective(params: np.ndarray) -> float:
         rots = rotation_matrix(params[:n], params[n:])
-        # a full dense change of basis, independent of the fast path's contraction
+        # a full dense change of basis, independent of the fast path's one outcome string per weight
         ent = [
             shannon_entropy(np.diag(b.conj().T @ d @ b).real)
             for d, b in [(data, reduce(np.kron, rots))] + list(zip(reduced_data, rots))

@@ -55,6 +55,19 @@ def basis_bits(n: int) -> np.ndarray:
     return (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
 
 
+def rotation_matrix(theta, phi) -> np.ndarray:
+    """cos(theta) I + i sin(theta) (cos(phi) sigma_y + sin(phi) sigma_x); angle arrays give a stack."""
+    theta = np.asarray(theta, dtype=float)
+    c, s = np.cos(theta), np.sin(theta)
+    e = np.exp(1j * np.asarray(phi, dtype=float))
+    r = np.empty(theta.shape + (2, 2), dtype=complex)
+    r[..., 0, 0] = c
+    r[..., 0, 1] = s * e
+    r[..., 1, 0] = -s * e.conj()
+    r[..., 1, 1] = c
+    return r
+
+
 def _qubits_for_length(length: int) -> int:
     """n such that `length` == 2^n, n >= 1; integer arithmetic only."""
     if length < 2 or length & (length - 1):

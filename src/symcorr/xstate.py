@@ -1,7 +1,9 @@
-"""X states: one population per excitation count plus the corner |0...0><1...1|.
+"""The two structure classes of a permutation-invariant state, told apart only by `symmetric_view`.
 
-Every spectrum the symmetric measures need of one is its populations, with binomial multiplicities, plus
-at most one 2 x 2 block (Yu & Eberly, QIC 7, 459 (2007); Ali, Rau & Alber, PRA 81, 042105 (2010)).
+An X state (one population per excitation count plus the corner |0...0><1...1|) has every spectrum in closed
+form: its populations, with binomial multiplicities, plus at most one 2 x 2 block (Yu & Eberly, QIC 7, 459
+(2007); Ali, Rau & Alber, PRA 81, 042105 (2010)); any other invariant state is read from its dense matrix.
+Both views answer `entropy()`, `block(k)`, `conditional_entropy(k)`, `weight_distribution()` and `phis`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,22 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qstate import INVARIANCE_TOL, PROBABILITY_FLOOR, DensityMatrix, basis_bits, shannon_entropy
+from .qstate import (
+    INVARIANCE_TOL,
+    PROBABILITY_FLOOR,
+    Cut,
+    DensityMatrix,
+    basis_bits,
+    conditional_entropy,
+    partial_trace,
+    require_permutation_symmetric,
+    rotation_matrix,
+    shannon_entropy,
+    von_neumann_entropy,
+)
+from .states import symmetric_basis
+
+_PHI_GRID = 64
 
 
 @lru_cache(maxsize=None)
@@ -43,21 +60,24 @@ def _branch_sum(d, z, counts) -> float:
 
 @dataclass(frozen=True)
 class XState:
-    """Populations p_0..p_n by excitation count and the corner c = rho[0...0, 1...1], n >= 2."""
+    """Populations p_0..p_n by excitation count and the corner c = rho[0...0, 1...1], n >= 1."""
 
     populations: np.ndarray
     corner: complex
+    phi_step = 0.0  # phi enters only through cos(n phi - arg c), in which the entropy is concave
+
+    @property
+    def phis(self) -> np.ndarray:
+        """arg c / n and (arg c + pi) / n, the two ends of cos(n phi - arg c); exact, so `phi_step` is 0."""
+        return (np.angle(self.corner) + np.array([0.0, math.pi])) / (self.populations.size - 1)
 
     def entropy(self) -> float:
         return float(x_entropy(self.populations, self.corner))
 
-    def block_populations(self, k: int) -> np.ndarray:
-        """Populations by excitation count of any k-qubit block, 0 < k < n; the block is diagonal."""
+    def block(self, k: int) -> XState:
+        """Any k-qubit block, 0 < k < n: diagonal, populations summed over the traced qubits' counts."""
         m = self.populations.size - 1 - k
-        return np.correlate(self.populations, binomials(m)[m], "valid")
-
-    def block_entropy(self, k: int) -> float:
-        return float(x_entropy(self.block_populations(k), 0.0))
+        return XState(np.correlate(self.populations, binomials(m)[m], "valid"), 0.0)
 
     def conditional_entropy(self, k: int):
         """ce(theta) of measuring a k-qubit block in `symmetric_basis(k, theta)`.
@@ -97,6 +117,50 @@ class XState:
         return distribution
 
 
+@dataclass(frozen=True)
+class DenseSymmetric:
+    """An invariant state outside the X class, read from its dense matrix; a block is its last k qubits."""
+
+    rho: DensityMatrix
+    phis = np.linspace(0.0, 2.0 * math.pi, _PHI_GRID, endpoint=False)
+    phi_step = 2.0 * math.pi / _PHI_GRID
+
+    def entropy(self) -> float:
+        return von_neumann_entropy(self.rho)
+
+    def block(self, k: int) -> DenseSymmetric:
+        return DenseSymmetric(partial_trace(self.rho, range(self.rho.n_qubits - k, self.rho.n_qubits)))
+
+    def conditional_entropy(self, k: int):
+        """ce(theta) of the last k qubits; Fourier-sector rows measured once, the extremal pair per angle."""
+        n = self.rho.n_qubits
+        cut = Cut.of(n, range(n - k, n))
+        rows = symmetric_basis(k, 0.0)
+        fixed = conditional_entropy(self.rho, cut, rows[2:])
+
+        def ce(theta: float) -> float:
+            c, s = math.cos(theta), math.sin(theta)
+            return fixed + conditional_entropy(self.rho, cut, np.array([[c, s], [-s, c]]) @ rows[:2])
+
+        return ce
+
+    def weight_distribution(self):
+        """<v_w|rho|v_w>, v_w = R|1>^w (x) R|0>^(n-w), a function of angle arrays, O(n 4^n) per angle pair;
+        exact, since every weight-w outcome string of an invariant state is equally likely."""
+        n = self.rho.n_qubits
+
+        def distribution(thetas, phis):
+            r = rotation_matrix(thetas, phis)[..., None, :, :]  # column b of R is R|b>
+            v = np.ones(r.shape[:-3] + (n + 1, 1), dtype=complex)
+            for q in range(n):  # qubit q is R|1> in the strings of weight w > q
+                column = np.where((np.arange(n + 1) > q)[:, None], r[..., :, 1], r[..., :, 0])
+                v = (v[..., :, None] * column[..., None, :]).reshape(v.shape[:-1] + (-1,))
+            flat = v.reshape(-1, 2**n)  # one matrix product for the whole batch
+            return ((flat.conj() @ self.rho.data) * flat).sum(axis=-1).real.reshape(v.shape[:-1])
+
+        return distribution
+
+
 def x_form(rho: DensityMatrix) -> XState | None:
     """The X form of `rho`, or None below 2 qubits or outside the class; O(4^n).
 
@@ -114,3 +178,12 @@ def x_form(rho: DensityMatrix) -> XState | None:
         return None
     populations.flags.writeable = False
     return XState(populations, complex(rho.data[0, -1]))
+
+
+def symmetric_view(rho: DensityMatrix, context: str) -> XState | DenseSymmetric:
+    """The X form of `rho`, else its dense view once `require_permutation_symmetric(rho, context)` passes."""
+    x = x_form(rho)
+    if x is not None:
+        return x
+    require_permutation_symmetric(rho, context)
+    return DenseSymmetric(rho)

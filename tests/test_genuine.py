@@ -116,9 +116,9 @@ class TestBipartiteDiscord:
         ce_pts = {}
         rho = thermo_state(3, 0.75)
         cut = Cut.of(3, {1, 2})
-        from symcorr.genuine import _symmetric_conditional_entropy
+        from symcorr.xstate import DenseSymmetric
 
-        ce = _symmetric_conditional_entropy(rho, cut)
+        ce = DenseSymmetric(rho).conditional_entropy(len(cut.measured))
         grid = np.linspace(0, np.pi / 2, 9)
         for theta in grid:
             ce_pts[theta] = ce(theta)

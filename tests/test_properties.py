@@ -17,14 +17,13 @@ from hypothesis.extra.numpy import arrays
 
 from symcorr.genuine import (
     THETA_TOL,
-    _symmetric_conditional_entropy,
     _symmetric_discord,
     bipartite_discord,
     genuine_correlations,
 )
 from symcorr.global_discord import (
     RotationAngles,
-    _dense_shared_angle,
+    _shared_angle_min,
     dephase_in_rotated_basis,
     global_discord,
     rotation_matrix,
@@ -53,7 +52,7 @@ from symcorr.qstate import (
     von_neumann_entropy,
 )
 from symcorr.states import ghz_ad_closed, ghz_pd_closed, ghz_state, thermo_state
-from symcorr.xstate import x_form
+from symcorr.xstate import DenseSymmetric, x_form
 
 PROPS = settings(database=None, derandomize=True, max_examples=40, deadline=None)
 
@@ -337,7 +336,7 @@ def test_x_closed_forms_match_dense_spectra(rho, theta, phi):
     x = x_form(rho)
     assert abs(x.entropy() - von_neumann_entropy(rho)) <= 1e-12
     for k in range(1, n):
-        assert abs(x.block_entropy(k) - von_neumann_entropy(partial_trace(rho, range(k)))) <= 1e-12
+        assert abs(x.block(k).entropy() - von_neumann_entropy(partial_trace(rho, range(k)))) <= 1e-12
     basis = functools.reduce(np.kron, [rotation_matrix(theta, phi)] * n)
     probs = (basis.conj() * (rho.data @ basis)).sum(axis=0).real  # diagonal in the rotated basis
     distribution = x.weight_distribution()(np.array([theta]), np.array([phi]))[0]
@@ -349,7 +348,7 @@ def test_x_closed_forms_match_dense_spectra(rho, theta, phi):
 def test_x_global_discord_matches_dense_path(rho):
     assert x_form(rho) is not None
     value, angles = global_discord(rho)
-    dense, _, _ = _dense_shared_angle(rho)
+    dense, _, _ = _shared_angle_min(DenseSymmetric(rho), rho.n_qubits)
     assert abs(value - dense) <= 1e-10
     assert abs(value - _dense_global_objective(rho, angles)) <= 1e-12
 
@@ -361,7 +360,7 @@ def test_x_bipartite_discord_matches_dense_kernel(rho):
     for k in range(1, n):
         cut = Cut.of(n, range(n - k, n))
         value, theta = bipartite_discord(rho, cut)
-        ce = _symmetric_conditional_entropy(rho, cut)
+        ce = DenseSymmetric(rho).conditional_entropy(len(cut.measured))
         s_measured = von_neumann_entropy(partial_trace(rho, cut.measured))
         dense, _ = _symmetric_discord(s_measured, von_neumann_entropy(rho), ce)
         assert abs(value - dense) <= 1e-12
@@ -385,11 +384,12 @@ def _two_qubit_swap_coherence():
 @pytest.mark.parametrize("rho", [_ghz_plus_mixture(3, 1e-3), _two_qubit_swap_coherence()], ids=["ghz+plus", "swap"])
 def test_symmetric_states_outside_x_class_take_dense_path(rho):
     assert x_form(rho) is None
-    assert global_discord(rho)[0] == _dense_shared_angle(rho)[0]
+    assert global_discord(rho)[0] == _shared_angle_min(DenseSymmetric(rho), rho.n_qubits)[0]
     n = rho.n_qubits
     cut = Cut.of(n, {n - 1})
     s_measured = von_neumann_entropy(partial_trace(rho, cut.measured))
-    dense = _symmetric_discord(s_measured, von_neumann_entropy(rho), _symmetric_conditional_entropy(rho, cut))
+    ce = DenseSymmetric(rho).conditional_entropy(len(cut.measured))
+    dense = _symmetric_discord(s_measured, von_neumann_entropy(rho), ce)
     assert bipartite_discord(rho, cut) == dense
 
 
@@ -413,7 +413,7 @@ def test_each_measure_call_detects_the_class_once(monkeypatch, module, measure):
         calls.append(rho)
         return x_form(rho)
 
-    monkeypatch.setattr(importlib.import_module(module), "x_form", counted)
+    monkeypatch.setattr(importlib.import_module("symcorr.xstate"), "x_form", counted)
     measure(thermo_state(4, 0.3))
     assert len(calls) == 1
 
@@ -431,3 +431,75 @@ def test_genuine_and_global_discord_symmetric_under_p0_exchange(n, p0):
 def test_svetlichny_violation_within_quantum_maximum(rho):
     value, _ = max_violation(rho)
     assert value <= bounds(rho.n_qubits).quantum_max + 1e-9
+
+
+def _invariant_non_x_state(n, seed, kind):
+    rho = (_permutation_average if kind == "average" else _ghz_dicke_plus_mixture)(n, np.random.default_rng(seed))
+    assume(x_form(rho) is None)
+    return rho
+
+
+non_x_states = st.builds(
+    _invariant_non_x_state, st.integers(2, 5), seeds, st.sampled_from(["average", "mixture"]))
+
+
+@PROPS
+@given(rho=non_x_states, theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 2.0 * math.pi))
+def test_dense_weight_distribution_matches_dense_change_of_basis(rho, theta, phi):
+    n = rho.n_qubits
+    basis = functools.reduce(np.kron, [rotation_matrix(theta, phi)] * n)
+    probs = (basis.conj() * (rho.data @ basis)).sum(axis=0).real  # diagonal in the rotated basis
+    distribution = DenseSymmetric(rho).weight_distribution()(np.array([theta]), np.array([phi]))[0]
+    assert np.abs(distribution[_weights(n)] - probs).max() <= 1e-12
+
+
+@settings(database=None, derandomize=True, max_examples=20, deadline=None)
+@given(rho=st.one_of(x_states(), non_x_states))
+def test_symmetric_cut_mutual_information_matches_dense(rho):
+    for report in genuine_correlations(rho).per_cut:
+        assert abs(report.mutual_info - mutual_information(rho, report.cut)) <= 1e-12
+
+
+@PROPS
+@given(rho=x_states(max_n=8))
+def test_genuine_correlations_of_x_states_make_no_dense_eigensolve(rho):
+    def refuse(self):
+        raise AssertionError("dense eigensolve on an X state")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DensityMatrix, "eigenvalues", refuse)
+        genuine_correlations(rho)
+
+
+@PROPS
+@given(n=st.integers(5, 8), p0=st.floats(0.0, 1.0))
+def test_cut_side_ties_keep_the_enumerated_cut(n, p0):
+    rho = thermo_state(n, p0)
+    ties = 0
+    for cut, report in zip(enumerate_cuts(n, "symmetric"), genuine_correlations(rho).per_cut):
+        flipped = Cut(cut.remainder, cut.measured)
+        if len(cut.measured) == len(flipped.measured):
+            continue
+        gap = bipartite_discord(rho, flipped)[0] - bipartite_discord(rho, cut)[0]
+        ties += abs(gap) <= 1e-12
+        assert report.cut == (flipped if gap < -1e-12 else cut)
+    assume(ties)
+
+
+def _full_antidiagonal_value(rho, table):
+    """The Svetlichny polynomial as its weighted correlations, each summed over the whole antidiagonal."""
+    n = rho.n_qubits
+    return sum(
+        float(w) * correlation(rho, [table.pairs[i][q[i] - 1] for i in range(n)])
+        for q, w in svetlichny_expansion(n).coefficients.items()
+    )
+
+
+@PROPS
+@given(rho=st.one_of(x_states(max_n=8), non_x_states), seed=seeds)
+def test_svetlichny_value_matches_full_antidiagonal_sum(rho, seed):
+    table = SettingsTable(tuple(map(tuple, np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, (rho.n_qubits, 2)))))
+    assert abs(svetlichny_value(rho, table) - _full_antidiagonal_value(rho, table)) <= 1e-12
+    if x_form(rho) is not None:  # the closed form's self-check reads the same evaluator
+        value, settings_ = max_violation(rho)
+        assert abs(value - _full_antidiagonal_value(rho, settings_)) <= 1e-12

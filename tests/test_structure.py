@@ -1,5 +1,5 @@
 """Module structure: no private imports across modules, no lazy imports but the
-oracle's, and one version number."""
+oracle's, one place that tells the structure classes apart, and one version number."""
 
 import ast
 import os
@@ -36,6 +36,30 @@ def _violations():
 
 def test_no_private_cross_module_or_function_level_imports():
     assert _violations() == []
+
+
+_CLASS_CHECKS = ("x_form", "require_permutation_symmetric")
+
+
+def _class_check_references():
+    """(inside symmetric_view, elsewhere) lists of the places in src/ that name a structure-class check."""
+    inside, elsewhere = [], []
+    for path in sorted((SRC / "symcorr").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        dispatch = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                    and fn.name == "symmetric_view" for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in _CLASS_CHECKS:
+                (inside if id(node) in dispatch else elsewhere).append(f"{path.name}:{node.lineno} {name}")
+    return inside, elsewhere
+
+
+def test_only_symmetric_view_tells_the_structure_classes_apart():
+    """A second X-vs-dense fork would call `x_form` or `require_permutation_symmetric` itself."""
+    inside, elsewhere = _class_check_references()
+    assert sorted(ref.split()[-1] for ref in inside) == sorted(_CLASS_CHECKS)
+    assert elsewhere == []
 
 
 def test_import_leaves_scipy_optimize_unloaded():
