@@ -4,12 +4,12 @@ The total genuine correlation of a permutation-symmetric state is the minimum
 bipartite mutual information over all cuts; its quantum part is the minimum
 bipartite discord.  For symmetric states the discord minimization over
 projective bases on the measured block collapses to a single rotation angle
-(the `symmetric_basis` family), found here by a grid-seeded golden-section
-search.  Symmetric mode reads every entropy and conditional entropy from the
-state's structure-class view (`xstate.symmetric_view`): closed forms for X
-states, the dense matrix otherwise.  A rank-2 shortcut through the
-purification ancilla (entanglement of formation of the block-ancilla pair) is
-provided for phase-damped GHZ states.
+(the `symmetric_basis` family), found by `optim.grid_golden_min` on the shared
+`optim.THETA_GRID`.  Symmetric mode reads every entropy and conditional
+entropy from the state's structure-class view (`xstate.symmetric_view`):
+closed forms for X states, the dense matrix otherwise.  A rank-2 shortcut
+through the purification ancilla (entanglement of formation of the
+block-ancilla pair) is provided for phase-damped GHZ states.
 """
 
 from __future__ import annotations
@@ -21,11 +21,12 @@ from typing import Optional
 
 import numpy as np
 
-from .optim import fold_theta, grid_golden_min
+from .optim import THETA_GRID, THETA_STEP, fold_theta, grid_golden_min
 from .qstate import (
     Cut,
     DensityMatrix,
     check_mode,
+    clamp_nonneg,
     enumerate_cuts,
     mutual_information,
     partial_trace,
@@ -35,8 +36,6 @@ from .qstate import (
 from .xstate import symmetric_view
 
 THETA_TOL = 1e-6
-_GRID_POINTS = 64
-_NEGATIVE_SLACK = -1e-9
 _RANK2_TOL = 1e-9
 _SIDE_TIE_TOL = 1e-12
 
@@ -62,17 +61,10 @@ class GenuineReport:
     min_mutual_info_cut: Cut
 
 
-def _clamp_nonneg(x: float, what: str) -> float:
-    if x < _NEGATIVE_SLACK:
-        raise ValueError(f"{what} evaluated to {x}, below the numerical slack")
-    return max(x, 0.0)
-
-
 def _symmetric_discord(s_measured: float, s_rho: float, ce) -> tuple[float, float]:
-    """(discord, theta folded into (0, pi/2]) from the block and state entropies and ce(theta)."""
-    theta, ce_min = grid_golden_min(ce, 0.0, math.pi / 2.0, num=_GRID_POINTS, tol=THETA_TOL)
-    discord = _clamp_nonneg(s_measured - s_rho + ce_min, "discord")
-    return discord, fold_theta(theta)
+    """(discord, theta folded into (0, pi/2]) from the block and state entropies and ce over theta arrays."""
+    (theta,), ce_min = grid_golden_min(lambda t: ce(t[0]), (THETA_GRID,), (THETA_STEP,), tol=THETA_TOL)
+    return clamp_nonneg(s_measured - s_rho + ce_min, "discord"), fold_theta(theta)
 
 
 def _cut_measures(rho: DensityMatrix, mode: str, context: str):
@@ -147,7 +139,7 @@ def genuine_correlations(rho: DensityMatrix, mode: str = "symmetric") -> Genuine
 
     reports = []
     for cut in cuts:
-        mi = _clamp_nonneg(mutual_info_of(cut), "mutual information")
+        mi = clamp_nonneg(mutual_info_of(cut), "mutual information")
         best_cut, discord, theta = _direction_min(discord_of, cut, mode)
         discord = min(discord, mi)  # optimizer noise must not push D past MI
         reports.append(CutReport(best_cut, mi, discord, mi - discord, theta))
@@ -158,7 +150,7 @@ def genuine_correlations(rho: DensityMatrix, mode: str = "symmetric") -> Genuine
     return GenuineReport(
         total=total,
         quantum=quantum,
-        classical=_clamp_nonneg(total - quantum, "classical correlations"),
+        classical=clamp_nonneg(total - quantum, "classical correlations"),
         optimal_cut=by_discord.cut,
         per_cut=tuple(reports),
         min_mutual_info_cut=by_mi.cut,
@@ -244,4 +236,4 @@ def koashi_winter_discord(rho: DensityMatrix, cut: Cut) -> float:
     for meas, rest in ((measured, remainder), (remainder, measured)):
         s_meas = von_neumann_entropy(partial_trace(rho, meas))
         values.append(s_meas - s_rho + _block_ancilla_eof(psi, n + 1, rest))
-    return _clamp_nonneg(min(values), "Koashi-Winter discord")
+    return clamp_nonneg(min(values), "Koashi-Winter discord")

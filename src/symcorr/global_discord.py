@@ -8,11 +8,11 @@ minimum over angles of the relative entropy to the dephased state minus the
 sum of the single-qubit relative entropies, each evaluated through the
 identity S(rho || Pi(rho)) = S(Pi(rho)) - S(rho).
 
-For permutation-invariant states one shared (theta, phi) pair suffices; the
-projector set is exactly pi/2-periodic in theta, so the search runs over
-theta in (0, pi/2] and reports the computational-basis optimum as pi/2.  The
-state's structure-class view (`xstate.symmetric_view`) gives the probability
-of one outcome string per weight and the phi values to scan.
+For permutation-invariant states one shared (theta, phi) pair suffices.
+`optim.grid_golden_min` scans `optim.THETA_GRID` times the phis of the state's
+structure-class view (`xstate.symmetric_view`), which also gives the
+probability of one outcome string per weight; `optim.fold_angles` folds the
+pair it reports into theta in (0, pi/2], phi in [0, pi).
 """
 
 from __future__ import annotations
@@ -23,14 +23,11 @@ from functools import reduce
 
 import numpy as np
 
-from .optim import fold_theta, golden_section_min
-from .qstate import DensityMatrix, QubitCapError, check_mode, rotation_matrix, shannon_entropy
+from .optim import THETA_GRID, THETA_STEP, fold_angles, grid_golden_min
+from .qstate import DensityMatrix, QubitCapError, check_mode, clamp_nonneg, rotation_matrix, shannon_entropy
 from .xstate import binomials, symmetric_view
 
-_THETA_GRID = 64
-_GRID_CHUNK = 256
 _MAX_SYMMETRIC_QUBITS = 10  # a dense scan takes 12 s on one core here, about 3.2 times more per qubit
-_REFINE_SWEEPS = 3
 _REFINE_TOL = 1e-7
 _TWO_PI = 2.0 * math.pi
 
@@ -90,43 +87,21 @@ def global_discord_thermo_analytic(n: int, p0: float) -> float:
 
 
 def _shared_angle_min(view, n: int) -> tuple[float, float, float]:
-    """Global discord over one shared rotation, as (value, theta, phi), theta folded into (0, pi/2].
-
-    S(Pi(rho)) = sum_w C(n, w) h(p_w) over the view's weight distribution p_w, and S(Pi(rho_0)) over its
-    marginal P(b) = sum_w C(n-1, w-b) p_w; 64 thetas times the view's phis, then golden-section refinement.
-    """
+    """Global discord over one shared rotation, as (value, theta, phi) folded by `fold_angles`: S(Pi(rho)) =
+    sum_w C(n, w) h(p_w) over the view's weight distribution p_w, and S(Pi(rho_0)) over its marginal
+    P(b) = sum_w C(n-1, w-b) p_w, on `THETA_GRID` times the view's phis."""
     distribution = view.weight_distribution()
     s_rho, s_rho0 = view.entropy(), view.block(1).entropy()
     marginal = np.stack([binomials(n)[n - 1], np.roll(binomials(n)[n - 1], 1)], axis=-1)  # C(n-1, w-b)
 
-    def values(thetas, phis):
-        p = distribution(thetas, phis)
+    def values(points):
+        p = distribution(*points)
         dephased = shannon_entropy(p[..., None]) @ binomials(n)[n]
         return dephased - s_rho - n * (shannon_entropy(p @ marginal) - s_rho0)
 
-    def objective(theta: float, phi: float) -> float:
-        return float(values(np.array([theta]), np.array([phi]))[0])
-
-    thetas = np.linspace(0.0, math.pi / 2.0, _THETA_GRID + 1)[1:]
-    tt, pp = [a.reshape(-1) for a in np.meshgrid(thetas, view.phis, indexing="ij")]
-    splits = range(_GRID_CHUNK, tt.size, _GRID_CHUNK)
-    grid = np.concatenate([values(*chunk) for chunk in zip(np.split(tt, splits), np.split(pp, splits))])
-    i = int(np.argmin(grid))
-    t, p = float(tt[i]), float(pp[i])
-    ht, hp = (math.pi / 2.0) / _THETA_GRID, view.phi_step
-    for _ in range(_REFINE_SWEEPS if hp else 1):  # with phi fixed one sweep suffices
-        t, _ = golden_section_min(lambda v: objective(v, p), t - ht, t + ht, tol=_REFINE_TOL)
-        if hp:
-            p, _ = golden_section_min(lambda v: objective(t, v), p - hp, p + hp, tol=_REFINE_TOL)
-        ht /= 8.0
-        hp /= 8.0
-    t, p = fold_theta(t), p % _TWO_PI
-    if p == _TWO_PI:  # a negative angle within an ulp of 0 rounds up to 2 pi
-        p = 0.0
-    value = objective(t, p)
-    if value < -1e-9:
-        raise ValueError(f"global discord evaluated to {value}, below the numerical slack")
-    return max(value, 0.0), t, p
+    axes, steps = (THETA_GRID, view.phis), (THETA_STEP, view.phi_step)
+    (t, p), value = grid_golden_min(values, axes, steps, tol=_REFINE_TOL)
+    return clamp_nonneg(value, "global discord"), *fold_angles(t, p)
 
 
 def global_discord(
@@ -135,10 +110,10 @@ def global_discord(
     """Global discord of `rho` and the minimizing rotation angles.
 
     Symmetric mode (permutation-invariant states) shares one (theta, phi) pair
-    across all qubits and runs a 64 x 64 grid with coordinate-wise
-    golden-section refinement; X states scan 64 thetas on their two phi
-    branches and refine theta alone.  General mode optimizes all 2n angles through
-    the multi-start oracle (small systems only).
+    across all qubits: a 64 x 64 grid with three golden-section sweeps, or for
+    X states 64 thetas on their two phi branches with theta refined alone.
+    General mode optimizes all 2n angles through the multi-start oracle (small
+    systems only).
     """
     check_mode(mode)
     if mode == "general":

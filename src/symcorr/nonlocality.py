@@ -108,19 +108,18 @@ def correlation(rho: DensityMatrix, angles) -> float:
 
 
 def _svetlichny_evaluator(rho: DensityMatrix):
-    """The polynomial of `rho` over an (n, 2) angle table; O(n 2^n) per nonzero antidiagonal entry."""
+    """The polynomial of `rho` at flattened (n, 2) angle tables; O(n 2^n) per nonzero antidiagonal entry."""
     n = rho.n_qubits
     choices = basis_bits(n)
     weights = _monomial_weights(choices)
     nonzero = np.flatnonzero(_antidiagonal(rho))  # exact zeros add nothing: an X state keeps two entries
     anti = _antidiagonal(rho)[nonzero]
     signs = 2.0 * choices[nonzero] - 1.0
-    qubits = np.arange(n)[None, :]
+    index = (2 * np.arange(n) + choices).T  # [q, m]: flat position of monomial m's setting of qubit q
 
-    def value(table: np.ndarray) -> float:
-        theta_rows = table[qubits, choices]
-        corrs = (anti @ np.exp(1j * (signs @ theta_rows.T))).real
-        return float(weights @ corrs)
+    def value(flat: np.ndarray):
+        """The polynomial at a flattened (n, 2) table, or at each of a stack of them."""
+        return (anti @ np.exp(1j * (signs @ flat.take(index, axis=-1)))).real @ weights
 
     return value
 
@@ -129,7 +128,7 @@ def svetlichny_value(rho: DensityMatrix, settings: SettingsTable) -> float:
     """Value of the normalized polynomial at the given per-qubit settings."""
     if settings.n_qubits != rho.n_qubits:
         raise ValueError("settings table does not match the state's qubit count")
-    return _svetlichny_evaluator(rho)(np.array(settings.pairs))
+    return float(_svetlichny_evaluator(rho)(np.ravel(settings.pairs)))
 
 
 def _comb_max(n: int) -> float:
@@ -148,10 +147,6 @@ def _closed_form_settings(n: int, delta: float) -> SettingsTable:
 def _coordinate_search_max(rho: DensityMatrix, restarts: int, seed: int):
     n = rho.n_qubits
     evaluate = _svetlichny_evaluator(rho)
-
-    def value(flat: np.ndarray) -> float:
-        return evaluate(flat.reshape(n, 2))
-
     rng = np.random.default_rng(seed)
     best_val, best_x = -math.inf, None
     for _ in range(restarts):
@@ -159,14 +154,14 @@ def _coordinate_search_max(rho: DensityMatrix, restarts: int, seed: int):
         for _ in range(3):
             for i in range(2 * n):
 
-                def neg(t, i=i):
-                    trial = x.copy()
-                    trial[i] = t
-                    return -value(trial)
+                def neg(points, i=i):
+                    trials = x[None].repeat(points.shape[1], axis=0)
+                    trials[:, i] = points[0]
+                    return -evaluate(trials)
 
-                xi, fv = grid_golden_min(neg, x[i] - math.pi, x[i] + math.pi, num=17, tol=1e-6)
-                x[i] = xi
-        v = value(x)
+                axis = np.linspace(x[i] - math.pi, x[i] + math.pi, 17)
+                (x[i],), _ = grid_golden_min(neg, (axis,), (math.pi / 8.0,))
+        v = float(evaluate(x))
         if v > best_val:
             best_val, best_x = v, x.copy()
     return best_val, SettingsTable(tuple((best_x[2 * i], best_x[2 * i + 1]) for i in range(n)))

@@ -24,6 +24,7 @@ from .qstate import (
     Cut,
     DensityMatrix,
     QubitCapError,
+    clamp_nonneg,
     conditional_entropy,
     embed_operator,
     partial_trace,
@@ -108,7 +109,7 @@ def oracle_bipartite_discord(rho: DensityMatrix, cut: Cut, config: OracleConfig 
 
     ce_min, _ = _multistart_min(ce, dim * (dim - 1), config)
     s_meas = von_neumann_entropy(partial_trace(rho, cut.measured))
-    return max(0.0, s_meas - von_neumann_entropy(rho) + ce_min)
+    return clamp_nonneg(s_meas - von_neumann_entropy(rho) + ce_min, "discord")
 
 
 def oracle_global_discord_full(
@@ -134,7 +135,7 @@ def oracle_global_discord_full(
 
     value, x = _multistart_min(objective, 2 * n, config)
     pairs = tuple(((x[i] % math.pi), (x[n + i] % _TWO_PI)) for i in range(n))
-    return max(0.0, value), RotationAngles(pairs)
+    return clamp_nonneg(value, "global discord"), RotationAngles(pairs)
 
 
 def oracle_global_discord(rho: DensityMatrix, config: OracleConfig = DEFAULT_CONFIG) -> float:

@@ -30,6 +30,13 @@ INVARIANCE_TOL = 1e-9
 MODES = ("symmetric", "general")  # symmetry-reduced search, or the brute-force oracle
 
 
+def clamp_nonneg(x: float, what: str) -> float:
+    """`x` clamped to 0 when within EIGENVALUE_FLOOR below it; a `what` further below raises ValueError."""
+    if x < EIGENVALUE_FLOOR:
+        raise ValueError(f"{what} evaluated to {x}, below the numerical slack")
+    return max(x, 0.0)
+
+
 class QubitCapError(ValueError):
     """Raised when an operation would exceed the dense-matrix size cap."""
 

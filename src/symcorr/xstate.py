@@ -49,13 +49,14 @@ def x_entropy(d, z):
     return shannon_entropy(spectrum[..., None]) @ np.concatenate([[1.0, 1.0], binomials(m)[m, 1:m]])
 
 
-def _branch_sum(d, z, counts) -> float:
-    """Sum of counts[i] b_i S(branch_i / b_i) over branches (populations d[i], corner z[i]), b_i >= 1e-12."""
+def _branch_sum(d, z, counts):
+    """Sum over the branch axis -1 of counts b S(branch / b), populations d[..., i, :], corner z[..., i];
+    leading axes batch, and branches below b = 1e-12 add nothing."""
     m = d.shape[-1] - 1
     b = d @ binomials(m)[m]
     keep = b >= PROBABILITY_FLOOR
-    b = b[keep]
-    return float((counts[keep] * b) @ x_entropy(d[keep] / b[:, None], z[keep] / b))
+    safe = np.where(keep, b, 1.0)
+    return (np.where(keep, counts * b, 0.0) * x_entropy(d / safe[..., None], z / safe)).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -80,19 +81,19 @@ class XState:
         return XState(np.correlate(self.populations, binomials(m)[m], "valid"), 0.0)
 
     def conditional_entropy(self, k: int):
-        """ce(theta) of measuring a k-qubit block in `symmetric_basis(k, theta)`.
+        """ce over theta arrays of measuring a k-qubit block in `symmetric_basis(k, theta)`.
 
         Each weight-j sector probe, 0 < j < k, leaves populations p_{j+w} at every theta; the rotated
         extremal pair leaves cos^2 p_w + sin^2 p_{k+w} and sin^2 p_w + cos^2 p_{k+w}, corners +-cos sin c.
         """
         windows = np.lib.stride_tricks.sliding_window_view(self.populations, self.populations.size - k)
         fixed = _branch_sum(windows[1:k], np.zeros(k - 1), binomials(k)[k, 1:k])
-        pair, ones = np.stack([windows[0], windows[k]]), np.ones(2)
+        lo, hi = windows[0], windows[k]
 
-        def ce(theta: float) -> float:
-            c, s = math.cos(theta), math.sin(theta)
-            d = np.array([[c * c, s * s], [s * s, c * c]]) @ pair
-            return fixed + _branch_sum(d, np.array([1.0, -1.0]) * (c * s * self.corner), ones)
+        def ce(thetas):
+            c, s = np.cos(thetas)[..., None], np.sin(thetas)[..., None]
+            d = np.stack([c * c * lo + s * s * hi, s * s * lo + c * c * hi], axis=-2)
+            return fixed + _branch_sum(d, np.array([1.0, -1.0]) * (c * s * self.corner), np.ones(2))
 
         return ce
 
@@ -132,15 +133,16 @@ class DenseSymmetric:
         return DenseSymmetric(partial_trace(self.rho, range(self.rho.n_qubits - k, self.rho.n_qubits)))
 
     def conditional_entropy(self, k: int):
-        """ce(theta) of the last k qubits; Fourier-sector rows measured once, the extremal pair per angle."""
+        """ce over theta arrays of the last k qubits; sector rows once, the extremal pair per angle."""
         n = self.rho.n_qubits
         cut = Cut.of(n, range(n - k, n))
         rows = symmetric_basis(k, 0.0)
         fixed = conditional_entropy(self.rho, cut, rows[2:])
 
-        def ce(theta: float) -> float:
-            c, s = math.cos(theta), math.sin(theta)
-            return fixed + conditional_entropy(self.rho, cut, np.array([[c, s], [-s, c]]) @ rows[:2])
+        def ce(thetas):
+            turns = [np.array([[c, s], [-s, c]]) for c, s in zip(np.cos(thetas).flat, np.sin(thetas).flat)]
+            values = [conditional_entropy(self.rho, cut, turn @ rows[:2]) for turn in turns]
+            return fixed + np.reshape(values, np.shape(thetas))
 
         return ce
 

@@ -41,6 +41,15 @@ class TestRotations:
         assert np.abs(projs_a[0] - projs_b[1]).max() < 1e-12
         assert np.abs(projs_a[1] - projs_b[0]).max() < 1e-12
 
+    def test_half_turn_in_phi_mirrors_theta(self):
+        # R(pi/2 - theta, phi + pi) = R(theta, phi) (-i n.sigma): the same projectors, in the other order
+        rng = np.random.default_rng(6)
+        theta, phi = rng.uniform(0.1, 1.2), rng.uniform(0, np.pi)
+        a = rotation_matrix(theta, phi)
+        b = rotation_matrix(np.pi / 2 - theta, phi + np.pi)
+        for k in range(2):
+            assert np.abs(np.outer(a[:, k], a[:, k].conj()) - np.outer(b[:, 1 - k], b[:, 1 - k].conj())).max() < 1e-12
+
     def test_angle_validation(self):
         with pytest.raises(ValueError):
             RotationAngles(((np.pi, 0.0),))
@@ -94,6 +103,11 @@ class TestOptimizer:
         for n, p0 in ((3, 0.8), (4, 0.35)):
             _, angles = global_discord(thermo_state(n, p0))
             assert angles.pairs[0][0] == pytest.approx(np.pi / 2, abs=1e-3)
+
+    def test_reports_the_canonical_angle_pair(self):
+        # (pi/4, pi) and (pi/4, 0) give the same product basis; the fold reports phi in [0, pi)
+        _, angles = global_discord(thermo_state(2, 0.2))
+        assert angles.pairs[0] == (pytest.approx(np.pi / 4, abs=1e-6), 0.0)
 
     def test_thermo_half_is_zero(self):
         value, _ = global_discord(thermo_state(3, 0.5))
@@ -165,6 +179,6 @@ class TestSharedAngleEvaluatorMatchesDensePath:
         assert type(info.value) is ValueError
 
     def test_symmetric_mode_refuses_eleven_qubits_up_front(self):
-        # the grid scan would hold an 8.6 GB intermediate; the cap fires first
+        # a dense shared-angle scan takes about 12 s at 10 qubits; the cap fires before any work at 11
         with pytest.raises(QubitCapError, match="capped at 10 qubits"):
             global_discord(thermo_state(11, 0.3))

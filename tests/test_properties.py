@@ -1,8 +1,9 @@
 """Properties on generated inputs: the state families' X form, the batched
 Shannon entropy, qubit-block reductions, the conditional-entropy kernel, the
 Svetlichny polynomial, the bounds 0 <= D <= MI, classical >= 0 and global
-discord >= 0 on permutation-invariant states, and the X-state closed forms
-against the dense paths they replace."""
+discord >= 0 on permutation-invariant states, the X-state closed forms
+against the dense paths they replace, the grid-then-golden angle search and
+the canonical angle folds."""
 
 import functools
 import importlib
@@ -11,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -36,7 +37,7 @@ from symcorr.nonlocality import (
     svetlichny_expansion,
     svetlichny_value,
 )
-from symcorr.optim import grid_golden_min
+from symcorr.optim import THETA_GRID, THETA_STEP, fold_angles, grid_golden_min
 from symcorr.qstate import (
     Cut,
     DensityMatrix,
@@ -365,7 +366,7 @@ def test_x_bipartite_discord_matches_dense_kernel(rho):
         dense, _ = _symmetric_discord(s_measured, von_neumann_entropy(rho), ce)
         assert abs(value - dense) <= 1e-12
         assert 0.0 < theta <= math.pi / 2.0
-        _, ce_min = grid_golden_min(ce, 0.0, math.pi / 2.0, num=64, tol=THETA_TOL)
+        _, ce_min = grid_golden_min(lambda t: ce(t[0]), (THETA_GRID,), (THETA_STEP,), tol=THETA_TOL)
         assert abs(ce(theta) - ce_min) <= 1e-12
 
 
@@ -503,3 +504,97 @@ def test_svetlichny_value_matches_full_antidiagonal_sum(rho, seed):
     if x_form(rho) is not None:  # the closed form's self-check reads the same evaluator
         value, settings_ = max_violation(rho)
         assert abs(value - _full_antidiagonal_value(rho, settings_)) <= 1e-12
+
+
+@PROPS
+@given(rho=st.one_of(x_states(), non_x_states), seed=seeds)
+def test_conditional_entropy_over_theta_arrays_matches_scalar_calls(rho, seed):
+    thetas = np.random.default_rng(seed).uniform(-math.pi, math.pi, (3, 5))
+    views = [DenseSymmetric(rho)] + ([x_form(rho)] if x_form(rho) is not None else [])
+    for view in views:
+        for k in range(1, rho.n_qubits):
+            ce = view.conditional_entropy(k)
+            scalar = np.array([[ce(float(t)) for t in row] for row in thetas])
+            assert np.abs(ce(thetas) - scalar).max() <= 1e-15
+
+
+def _unimodal_wave(u, r):
+    """cos u + r cos 2u, r < 1/4: one minimum per period, r - 1 at u = pi."""
+    return np.cos(u) + r * np.cos(2.0 * u)
+
+
+@PROPS
+@given(a=st.floats(0.1, 2.0), b=st.floats(0.0, 2.0 * math.pi), r=st.floats(0.0, 0.24), size=st.integers(3, 700))
+def test_grid_golden_min_one_axis(a, b, r, size):
+    sizes = []
+
+    def fn(points):
+        sizes.append(points.shape[1])
+        return a * _unimodal_wave(points[0] - b, r)
+
+    axis = np.linspace(0.0, 2.0 * math.pi, size, endpoint=False)
+    (x,), value = grid_golden_min(fn, (axis,), (2.0 * math.pi / size,), tol=1e-7)
+    grid_calls = -(-size // 256)
+    assert sum(sizes[:grid_calls]) == size and max(sizes[:grid_calls]) <= 256 and set(sizes[grid_calls:]) == {1}
+    assert abs(value - a * (r - 1.0)) <= 1e-10
+    assert abs(value - fn(np.array([[x]]))[0]) == 0.0
+
+
+@PROPS
+@given(a=st.floats(0.1, 2.0), c=st.floats(0.1, 2.0), coupling=st.floats(-0.1, 0.1),
+       b=st.floats(0.0, 2.0 * math.pi), d=st.floats(0.0, 2.0 * math.pi), phi_steps=st.sampled_from([0, 1]))
+def test_grid_golden_min_two_axes(a, c, coupling, b, d, phi_steps):
+    """a cos u + c cos v + e sin u sin v, |e| <= min(a, c) / 10, has its minimum -a - c at u = v = pi.
+
+    With a zero phi step the phi grid is exact (it holds the optimum) and phi is not refined."""
+    e = coupling * min(a, c)
+    sizes = []
+
+    def fn(points):
+        sizes.append(points.shape[1])
+        u, v = points[0] - b, points[1] - d
+        return a * np.cos(u) + c * np.cos(v) + e * np.sin(u) * np.sin(v)
+
+    phis = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False) if phi_steps else np.array([d + math.pi, d])
+    (x, y), value = grid_golden_min(fn, (THETA_GRID * 4.0, phis), (THETA_STEP * 4.0, phi_steps * math.pi / 32.0))
+    grid_calls = -(-64 * phis.size // 256)
+    assert sum(sizes[:grid_calls]) == 64 * phis.size and max(sizes[:grid_calls]) <= 256
+    assert abs(value - (-a - c)) <= 1e-10
+    assert phi_steps or y == d + math.pi
+
+
+def test_grid_golden_min_keeps_a_lower_grid_point():
+    axis = np.linspace(0.0, 1.0, 11)
+
+    def fn(points):  # smooth, but with a deep well on the grid point 0.3 that golden section cannot find
+        return np.where(points[0] == axis[3], -5.0, (points[0] - 0.62) ** 2)
+
+    assert grid_golden_min(fn, (axis,), (0.1,)) == ([axis[3]], -5.0)
+
+
+def _dephased(rho, theta, phi):
+    basis = functools.reduce(np.kron, [rotation_matrix(theta, phi)] * rho.n_qubits)
+    probs = (basis.conj() * (rho.data @ basis)).sum(axis=0).real
+    return (basis * probs) @ basis.conj().T
+
+
+@PROPS
+@given(n=st.integers(2, 4), seed=seeds, theta=st.floats(-2.0 * math.pi, 2.0 * math.pi),
+       phi=st.floats(-4.0 * math.pi, 4.0 * math.pi))
+@example(n=2, seed=0, theta=0.3, phi=-1.2e-16)  # the remainder of phi by pi rounds up to pi
+def test_fold_angles_keeps_the_dephased_state(n, seed, theta, phi):
+    assume(not 0.0 < theta % (math.pi / 2.0) <= 1e-6)  # fold_theta reads these as pi/2
+    t, p = fold_angles(theta, phi)
+    assert 0.0 < t <= math.pi / 2.0 and 0.0 <= p < math.pi and (p == 0.0 or t < math.pi / 2.0)
+    rho = _random_state(n, np.random.default_rng(seed))
+    assert np.abs(_dephased(rho, theta, phi) - _dephased(rho, t, p)).max() <= 1e-12
+
+
+@settings(database=None, derandomize=True, max_examples=20, deadline=None)
+@given(rho=st.one_of(x_states(), non_x_states))
+def test_global_discord_reports_canonical_angles(rho):
+    value, angles = global_discord(rho)
+    theta, phi = angles.pairs[0]
+    assert set(angles.pairs) == {(theta, phi)}
+    assert 0.0 < theta <= math.pi / 2.0 and 0.0 <= phi < math.pi and (phi == 0.0 or theta < math.pi / 2.0)
+    assert abs(value - _dense_global_objective(rho, angles)) <= 1e-12

@@ -5,11 +5,13 @@ import pytest
 from scipy.linalg import logm
 
 from symcorr.qstate import (
+    EIGENVALUE_FLOOR,
     Cut,
     DensityMatrix,
     PureState,
     QubitCapError,
     basis_bits,
+    clamp_nonneg,
     conditional_state,
     embed_operator,
     enumerate_cuts,
@@ -85,6 +87,12 @@ class TestTypes:
         rho = DensityMatrix(1, m)
         with pytest.raises(ValueError, match="positive semidefinite"):
             von_neumann_entropy(rho)
+
+    def test_clamp_nonneg_at_the_slack_boundary(self):
+        assert clamp_nonneg(0.25, "discord") == 0.25
+        assert clamp_nonneg(EIGENVALUE_FLOOR, "discord") == 0.0
+        with pytest.raises(ValueError, match="discord evaluated to .* below the numerical slack"):
+            clamp_nonneg(np.nextafter(EIGENVALUE_FLOOR, -1.0), "discord")
 
     def test_qubit_cap(self):
         with pytest.raises(QubitCapError):

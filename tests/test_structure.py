@@ -1,5 +1,6 @@
 """Module structure: no private imports across modules, no lazy imports but the
-oracle's, one place that tells the structure classes apart, and one version number."""
+oracle's, one place that tells the structure classes apart, one angle search,
+and one version number."""
 
 import ast
 import os
@@ -60,6 +61,18 @@ def test_only_symmetric_view_tells_the_structure_classes_apart():
     inside, elsewhere = _class_check_references()
     assert sorted(ref.split()[-1] for ref in inside) == sorted(_CLASS_CHECKS)
     assert elsewhere == []
+
+
+def test_grid_golden_min_is_the_only_angle_search():
+    """Only `optim` names the golden section, so every search goes through its grid; and no module wraps a
+    scalar objective in `np.vectorize`, which builds a ufunc per call."""
+    found = []
+    for path in sorted((SRC / "symcorr").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", getattr(node, "name", None))
+            if name == "vectorize" or (name == "golden_section_min" and path.name != "optim.py"):
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')} {name}")
+    assert found == []
 
 
 def test_import_leaves_scipy_optimize_unloaded():
