@@ -1,4 +1,4 @@
-"""The measurement-angle search (batched grid scan, then golden section), its theta grid and angle folds."""
+"""The discord angle search (batched grid scan, then golden section), its theta grid and angle folds."""
 
 from __future__ import annotations
 

@@ -6,6 +6,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from symcorr import nonlocality
 from symcorr.nonlocality import (
     SettingsTable,
     _coordinate_search_max,
@@ -162,8 +163,25 @@ class TestMaxViolation:
         rho = ghz_ad_closed(n, SQ2, 0.15)
         fast, _ = max_violation(rho)
         generic, _ = _coordinate_search_max(rho, restarts=12, seed=4)
-        assert generic == pytest.approx(fast, abs=2e-3)
+        assert generic == pytest.approx(fast, abs=1e-9)
         assert generic <= fast + 1e-9
+
+    def test_each_coordinate_step_is_one_call_on_three_tables(self, monkeypatch):
+        shapes = []
+        build = nonlocality._svetlichny_evaluator
+
+        def counted(rho):
+            evaluate = build(rho)
+
+            def value(flat):
+                shapes.append(np.shape(flat))
+                return evaluate(flat)
+
+            return value
+
+        monkeypatch.setattr(nonlocality, "_svetlichny_evaluator", counted)
+        _coordinate_search_max(ghz_ad_closed(2, SQ2, 0.15), restarts=2, seed=0)
+        assert shapes == ([(3, 4)] * 12 + [(4,)]) * 2  # three sweeps over 4 angles, then the restart's value
 
     def test_generic_path_handles_general_states(self):
         rng = np.random.default_rng(31)

@@ -427,13 +427,6 @@ def test_genuine_and_global_discord_symmetric_under_p0_exchange(n, p0):
     assert abs(global_discord(a)[0] - global_discord(b)[0]) <= 1e-9
 
 
-@PROPS
-@given(rho=x_states(max_n=8))
-def test_svetlichny_violation_within_quantum_maximum(rho):
-    value, _ = max_violation(rho)
-    assert value <= bounds(rho.n_qubits).quantum_max + 1e-9
-
-
 def _invariant_non_x_state(n, seed, kind):
     rho = (_permutation_average if kind == "average" else _ghz_dicke_plus_mixture)(n, np.random.default_rng(seed))
     assume(x_form(rho) is None)
@@ -442,6 +435,33 @@ def _invariant_non_x_state(n, seed, kind):
 
 non_x_states = st.builds(
     _invariant_non_x_state, st.integers(2, 5), seeds, st.sampled_from(["average", "mixture"]))
+
+
+@PROPS
+@given(rho=st.one_of(x_states(max_n=5), non_x_states), seed=seeds, t=st.floats(0.0, 2.0 * math.pi))
+def test_svetlichny_polynomial_is_a_sinusoid_in_each_setting_angle(rho, seed, t):
+    """The premise of the coordinate search's exact step: along any one of the 2n angles the polynomial is
+    c + a cos t + b sin t, with a, b and c read off its values at t = 0, pi/2 and pi."""
+    n = rho.n_qubits
+    table = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, 2 * n)
+
+    def along(i, angle):
+        x = table.copy()
+        x[i] = angle
+        return svetlichny_value(rho, SettingsTable(tuple(zip(x[0::2], x[1::2]))))
+
+    for i in range(2 * n):
+        f0, f1, f2 = (along(i, angle) for angle in (0.0, math.pi / 2.0, math.pi))
+        a, c = (f0 - f2) / 2.0, (f0 + f2) / 2.0
+        assert abs(along(i, t) - (c + a * math.cos(t) + (f1 - c) * math.sin(t))) <= 1e-12
+
+
+@PROPS
+@given(rho=st.one_of(x_states(max_n=8), non_x_states))
+def test_svetlichny_violation_within_quantum_maximum(rho):
+    value, settings = max_violation(rho)
+    assert value <= bounds(rho.n_qubits).quantum_max + 1e-9
+    assert abs(svetlichny_value(rho, settings) - value) <= 1e-12
 
 
 @PROPS

@@ -1,6 +1,6 @@
 """Module structure: no private imports across modules, no lazy imports but the
-oracle's, one place that tells the structure classes apart, one angle search,
-and one version number."""
+oracle's, one place that tells the structure classes apart, one discord angle
+search and none in `nonlocality`, and one version number."""
 
 import ast
 import os
@@ -64,8 +64,8 @@ def test_only_symmetric_view_tells_the_structure_classes_apart():
 
 
 def test_grid_golden_min_is_the_only_angle_search():
-    """Only `optim` names the golden section, so every search goes through its grid; and no module wraps a
-    scalar objective in `np.vectorize`, which builds a ufunc per call."""
+    """Only `optim` names the golden section, so every discord angle search goes through its grid; and no
+    module wraps a scalar objective in `np.vectorize`, which builds a ufunc per call."""
     found = []
     for path in sorted((SRC / "symcorr").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -73,6 +73,17 @@ def test_grid_golden_min_is_the_only_angle_search():
             if name == "vectorize" or (name == "golden_section_min" and path.name != "optim.py"):
                 found.append(f"{path.name}:{getattr(node, 'lineno', '?')} {name}")
     assert found == []
+
+
+def test_nonlocality_uses_no_numerical_angle_search():
+    """The Svetlichny coordinate step is exact, so `nonlocality` imports nothing from `optim`."""
+    names = []
+    for node in ast.walk(ast.parse((SRC / "symcorr" / "nonlocality.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names += [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+    assert [name for name in names if name.split(".")[-1] == "optim"] == []
 
 
 def test_import_leaves_scipy_optimize_unloaded():
