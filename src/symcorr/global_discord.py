@@ -24,10 +24,9 @@ from functools import reduce
 import numpy as np
 
 from .optim import THETA_GRID, THETA_STEP, fold_angles, grid_golden_min
-from .qstate import DensityMatrix, QubitCapError, check_mode, clamp_nonneg, rotation_matrix, shannon_entropy
+from .qstate import DensityMatrix, check_mode, clamp_nonneg, rotation_matrix, shannon_entropy
 from .xstate import binomials, symmetric_view
 
-_MAX_SYMMETRIC_QUBITS = 10  # a dense scan takes 12 s on one core here, about 3.2 times more per qubit
 _REFINE_TOL = 1e-7
 _TWO_PI = 2.0 * math.pi
 
@@ -104,27 +103,20 @@ def _shared_angle_min(view, n: int) -> tuple[float, float, float]:
     return clamp_nonneg(value, "global discord"), *fold_angles(t, p)
 
 
-def global_discord(
-    rho: DensityMatrix, mode: str = "symmetric"
-) -> tuple[float, RotationAngles]:
+def global_discord(rho: DensityMatrix, mode: str = "symmetric") -> tuple[float, RotationAngles]:
     """Global discord of `rho` and the minimizing rotation angles.
 
     Symmetric mode (permutation-invariant states) shares one (theta, phi) pair
-    across all qubits: a 64 x 64 grid with three golden-section sweeps, or for
-    X states 64 thetas on their two phi branches with theta refined alone.
-    General mode optimizes all 2n angles through the multi-start oracle (small
-    systems only).
+    across all qubits: X states take 64 thetas on their two phi branches with
+    theta refined alone, up to the 12-qubit dense cap; other states a 64 x 64
+    grid with three golden-section sweeps, whose dense scan raises
+    `QubitCapError` above 10 qubits before any grid work.  General mode
+    optimizes all 2n angles through the multi-start oracle (small systems only).
     """
     check_mode(mode)
     if mode == "general":
         from .oracle import DEFAULT_CONFIG, oracle_global_discord_full
 
         return oracle_global_discord_full(rho, DEFAULT_CONFIG)
-    n = rho.n_qubits
-    if n > _MAX_SYMMETRIC_QUBITS:
-        raise QubitCapError(
-            f"symmetric global discord is capped at {_MAX_SYMMETRIC_QUBITS} qubits, got {n}: its dense "
-            f"shared-angle scan already takes about 12 s on one core at {_MAX_SYMMETRIC_QUBITS} qubits"
-        )
-    value, t, p = _shared_angle_min(symmetric_view(rho, "symmetric-mode global discord"), n)
-    return value, RotationAngles.uniform(n, t, p)
+    value, t, p = _shared_angle_min(symmetric_view(rho, "symmetric-mode global discord"), rho.n_qubits)
+    return value, RotationAngles.uniform(rho.n_qubits, t, p)

@@ -47,7 +47,8 @@ class SettingsTable:
     pairs: tuple
 
     def __post_init__(self):
-        pairs = tuple((float(a) % _TWO_PI, float(b) % _TWO_PI) for a, b in self.pairs)
+        # a second wrap maps 2 pi, the remainder of a tiny negative angle in floats, to 0
+        pairs = tuple((float(a) % _TWO_PI % _TWO_PI, float(b) % _TWO_PI % _TWO_PI) for a, b in self.pairs)
         object.__setattr__(self, "pairs", pairs)
 
     @property

@@ -134,7 +134,8 @@ def oracle_global_discord_full(
         return (ent[0] - s_rho) - sum(e - s for e, s in zip(ent[1:], s_reduced))
 
     value, x = _multistart_min(objective, 2 * n, config)
-    pairs = tuple(((x[i] % math.pi), (x[n + i] % _TWO_PI)) for i in range(n))
+    # a second wrap maps the period, the remainder of a tiny negative angle in floats, to 0
+    pairs = tuple((x[i] % math.pi % math.pi, x[n + i] % _TWO_PI % _TWO_PI) for i in range(n))
     return clamp_nonneg(value, "global discord"), RotationAngles(pairs)
 
 

@@ -25,6 +25,7 @@ TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-9  # more negative than this is a real PSD violation, not noise
 NORM_TOL = 1e-12
 PROBABILITY_FLOOR = 1e-12  # measurement branches below this count as unfired
+_BRANCH_ENTRIES = 2**18  # branch-state entries per conditional-entropy slice, which bound its intermediates
 UNITARITY_TOL = 1e-10
 INVARIANCE_TOL = 1e-9
 MODES = ("symmetric", "general")  # symmetry-reduced search, or the brute-force oracle
@@ -46,9 +47,7 @@ def check_qubit_count(n: int, minimum: int = 1) -> None:
     if not isinstance(n, (int, np.integer)) or n < minimum:
         raise ValueError(f"qubit count must be an integer >= {minimum}, got {n!r}")
     if n > MAX_QUBITS:
-        raise QubitCapError(
-            f"dense representation is capped at {MAX_QUBITS} qubits, got {n}"
-        )
+        raise QubitCapError(f"dense representation is capped at {MAX_QUBITS} qubits, got {n}")
 
 
 def check_mode(mode: str) -> None:
@@ -93,9 +92,7 @@ class PureState:
         check_qubit_count(self.n_qubits)
         vec = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if vec.shape != (2**self.n_qubits,):
-            raise ValueError(
-                f"amplitude vector has length {vec.size}, expected {2**self.n_qubits}"
-            )
+            raise ValueError(f"amplitude vector has length {vec.size}, expected {2**self.n_qubits}")
         norm = np.linalg.norm(vec)
         if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
             raise ValueError(f"state vector norm {norm!r} is not 1 within {NORM_TOL}")
@@ -290,25 +287,24 @@ def mutual_information(rho: DensityMatrix, cut: Cut) -> float:
 
 
 def _branches(rho: DensityMatrix, cut: Cut, probes) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities and remainder states of the branches, one per probe row, above 1e-12."""
+    """Probabilities b[..., i] and remainder states of the branches, one per probe row [..., i, :]; leading
+    axes batch, and a branch below 1e-12 gets weight 0 and keeps its state unnormalized."""
     if cut.n_qubits != rho.n_qubits:
         raise ValueError("cut does not match the state's qubit count")
     measured = sorted(cut.measured)
     v = np.asarray(probes, dtype=complex)
-    if v.ndim != 2 or v.shape[1] != 2 ** len(measured):
+    if v.ndim < 2 or v.shape[-1] != 2 ** len(measured):
         raise ValueError(f"probe rows {v.shape} do not fit {len(measured)} measured qubits")
-    if not np.all(np.abs(np.linalg.norm(v, axis=1) - 1.0) <= NORM_TOL):  # NaN fails too
+    if not np.all(np.abs(np.linalg.norm(v, axis=-1) - 1.0) <= NORM_TOL):  # NaN fails too
         raise ValueError(f"probe rows are not unit vectors within {NORM_TOL}")
-    m = np.einsum("ix,xrys,iy->irs", v.conj(), _leading_view(rho, measured), v)
-    b = np.trace(m, axis1=1, axis2=2).real
-    m, b = m[b >= PROBABILITY_FLOOR], b[b >= PROBABILITY_FLOOR]
+    m = np.einsum("...ix,xrys,...iy->...irs", v.conj(), _leading_view(rho, measured), v)
+    b = np.trace(m, axis1=-2, axis2=-1).real
+    b = np.where(b >= PROBABILITY_FLOOR, b, 0.0)
     # rescaling can amplify asymmetry noise
-    return b, (m + m.conj().transpose(0, 2, 1)) / (2.0 * b[:, None, None])
+    return b, (m + m.conj().swapaxes(-1, -2)) / (2.0 * np.where(b > 0.0, b, 1.0)[..., None, None])
 
 
-def conditional_state(
-    rho: DensityMatrix, cut: Cut, probe: PureState
-) -> tuple[float, Optional[DensityMatrix]]:
+def conditional_state(rho: DensityMatrix, cut: Cut, probe: PureState) -> tuple[float, DensityMatrix | None]:
     """Outcome probability and post-measurement state on the remainder.
 
     Projects the measured block of `cut` onto `probe` (indexed by the measured
@@ -317,19 +313,30 @@ def conditional_state(
     a conditional entropy.
     """
     b, m = _branches(rho, cut, probe.amplitudes[None, :])
-    if not b.size:
+    if not b[0]:
         return 0.0, None
     return float(b[0]), DensityMatrix(rho.n_qubits - len(cut.measured), m[0])
 
 
-def conditional_entropy(rho: DensityMatrix, cut: Cut, probes) -> float:
+def conditional_entropy(rho: DensityMatrix, cut: Cut, probes) -> float | np.ndarray:
     """Sum of b_i S(rho_i) over the branches of measuring `cut`'s block on each row of `probes`.
 
-    Rows are unit vectors indexed as `conditional_state`'s probe; branches
-    below 1e-12 add nothing.  All spectra come from one batched eigensolve.
+    Rows are unit vectors indexed as `conditional_state`'s probe; branches below 1e-12 add nothing.  Leading
+    axes of `probes` batch probe sets, one value each (a float for one 2-D set); each slice of at most 2^18
+    branch-state entries is measured in one `einsum`, its spectra taken from one batched eigensolve.
     """
-    b, states = _branches(rho, cut, probes)
-    return float(b @ shannon_entropy(np.linalg.eigvalsh(states)))
+    v = np.asarray(probes, dtype=complex)
+
+    def measure(sets):
+        b, states = _branches(rho, cut, sets)
+        return (b[..., None, :] @ shannon_entropy(np.linalg.eigvalsh(states))[..., :, None])[..., 0, 0]
+
+    if v.ndim <= 2:
+        return float(measure(v))
+    sets = v.reshape(np.prod(v.shape[:-2], dtype=int), *v.shape[-2:])
+    step = _BRANCH_ENTRIES // max(1, sets.shape[1] * 4 ** len(cut.remainder)) or 1
+    starts = range(0, max(len(sets), 1), step)  # an empty stack still gets its one slice checked
+    return np.concatenate([measure(sets[i : i + step]) for i in starts]).reshape(v.shape[:-2])
 
 
 def embed_operator(op: np.ndarray, qubits: Sequence[int], n_qubits: int) -> np.ndarray:

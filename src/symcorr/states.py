@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 
-from .qstate import DensityMatrix, PureState, basis_bits, check_qubit_count
+from .qstate import DensityMatrix, PureState, basis_bits, check_qubit_count, rotation_matrix
 
 ALPHA_MAX_STRICT = 1.0 / math.sqrt(2.0)
 
@@ -132,10 +132,8 @@ def symmetric_basis(k: int, theta: float) -> np.ndarray:
     the plain rotated single-qubit pair.
     """
     check_qubit_count(k)
-    theta = float(theta)
-    c, s = math.cos(theta), math.sin(theta)
     rows = np.zeros((2**k, 2**k), dtype=complex)
-    rows[:2, [0, -1]] = [[c, s], [-s, c]]
+    rows[:2, [0, -1]] = rotation_matrix(float(theta), 0.0)
     weight = basis_bits(k).sum(axis=1)
     filled = 2
     for j in range(1, k):

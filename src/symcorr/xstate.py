@@ -19,6 +19,7 @@ from .qstate import (
     PROBABILITY_FLOOR,
     Cut,
     DensityMatrix,
+    QubitCapError,
     basis_bits,
     conditional_entropy,
     partial_trace,
@@ -30,6 +31,7 @@ from .qstate import (
 from .states import symmetric_basis
 
 _PHI_GRID = 64
+_MAX_SCAN_QUBITS = 10
 
 
 @lru_cache(maxsize=None)
@@ -120,7 +122,8 @@ class XState:
 
 @dataclass(frozen=True)
 class DenseSymmetric:
-    """An invariant state outside the X class, read from its dense matrix; a block is its last k qubits."""
+    """An invariant state outside the X class, read from its dense matrix; a block is its last k qubits.
+    The dense cost is kept here: one kernel call per angle array, and the weight scan's 10-qubit cap."""
 
     rho: DensityMatrix
     phis = np.linspace(0.0, 2.0 * math.pi, _PHI_GRID, endpoint=False)
@@ -133,23 +136,20 @@ class DenseSymmetric:
         return DenseSymmetric(partial_trace(self.rho, range(self.rho.n_qubits - k, self.rho.n_qubits)))
 
     def conditional_entropy(self, k: int):
-        """ce over theta arrays of the last k qubits; sector rows once, the extremal pair per angle."""
-        n = self.rho.n_qubits
-        cut = Cut.of(n, range(n - k, n))
-        rows = symmetric_basis(k, 0.0)
-        fixed = conditional_entropy(self.rho, cut, rows[2:])
-
-        def ce(thetas):
-            turns = [np.array([[c, s], [-s, c]]) for c, s in zip(np.cos(thetas).flat, np.sin(thetas).flat)]
-            values = [conditional_entropy(self.rho, cut, turn @ rows[:2]) for turn in turns]
-            return fixed + np.reshape(values, np.shape(thetas))
-
-        return ce
+        """ce over theta arrays of the last k qubits: the sector rows measured once, and the extremal pair
+        turned by `rotation_matrix(theta, 0)` at every angle of an array in one kernel call."""
+        rho, rows = self.rho, symmetric_basis(k, 0.0)
+        cut = Cut.of(rho.n_qubits, range(rho.n_qubits - k, rho.n_qubits))
+        fixed = conditional_entropy(rho, cut, rows[2:])
+        return lambda thetas: fixed + conditional_entropy(rho, cut, rotation_matrix(thetas, 0.0) @ rows[:2])
 
     def weight_distribution(self):
         """<v_w|rho|v_w>, v_w = R|1>^w (x) R|0>^(n-w), a function of angle arrays, O(n 4^n) per angle pair;
-        exact, since every weight-w outcome string of an invariant state is equally likely."""
+        exact, since every weight-w outcome string of an invariant state is equally likely.  Capped at 10
+        qubits, where a global-discord scan takes about 12 s on one core, 3.2 times more per qubit."""
         n = self.rho.n_qubits
+        if n > _MAX_SCAN_QUBITS:
+            raise QubitCapError(f"a dense shared-angle scan is capped at {_MAX_SCAN_QUBITS} qubits, got {n}")
 
         def distribution(thetas, phis):
             r = rotation_matrix(thetas, phis)[..., None, :, :]  # column b of R is R|b>

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from symcorr.cli import SweepSpec, main, run_sweep
+from symcorr.global_discord import global_discord_thermo_analytic
 
 
 def read_csv(path):
@@ -129,10 +130,11 @@ def test_size_guard_exits_3(capsys):
     assert "cap" in capsys.readouterr().err
 
 
-def test_symmetric_global_discord_above_ten_qubits_exits_3(capsys):
+def test_symmetric_global_discord_of_an_x_state_above_ten_qubits(capsys):
     code = main(["single", "thermo", "--n", "11", "--p0", "0.3", "--measure", "global_discord"])
-    assert code == 3
-    assert "cap" in capsys.readouterr().err
+    assert code == 0
+    printed = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    assert float(printed["global_discord"]) == pytest.approx(global_discord_thermo_analytic(11, 0.3), abs=1e-11)
 
 
 def test_fast_path_completes_at_eight_qubits(capsys):

@@ -1,5 +1,7 @@
 """Global discord: dephasing map, analytic formula, optimizer behavior."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -178,7 +180,20 @@ class TestSharedAngleEvaluatorMatchesDensePath:
             global_discord(DensityMatrix.maximally_mixed(1))
         assert type(info.value) is ValueError
 
-    def test_symmetric_mode_refuses_eleven_qubits_up_front(self):
-        # a dense shared-angle scan takes about 12 s at 10 qubits; the cap fires before any work at 11
+    def test_symmetric_mode_refuses_eleven_qubits_up_front(self, monkeypatch):
+        # a dense shared-angle scan takes about 12 s at 10 qubits; at 11 the cap of the dense view fires
+        # before any grid work or full-state eigensolve
+        def unreachable(*args, **kwargs):
+            raise AssertionError("work done past the qubit cap")
+
+        # the package's `global_discord` function shadows its module of the same name
+        monkeypatch.setattr(importlib.import_module("symcorr.global_discord"), "grid_golden_min", unreachable)
+        monkeypatch.setattr("symcorr.xstate.von_neumann_entropy", unreachable)
         with pytest.raises(QubitCapError, match="capped at 10 qubits"):
-            global_discord(thermo_state(11, 0.3))
+            global_discord(_ghz_plus_mixture(11))
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_x_states_past_the_dense_cap_match_the_analytic_value(self, n):
+        for p0 in (0.0, 0.3, 0.5, 0.8):
+            value, _ = global_discord(thermo_state(n, p0))
+            assert value == pytest.approx(global_discord_thermo_analytic(n, p0), abs=1e-12)

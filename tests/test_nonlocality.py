@@ -132,6 +132,10 @@ class TestSvetlichnyValue:
             svetlichny_value(rho, shifted), abs=1e-12
         )
 
+    def test_tiny_negative_angles_wrap_to_zero(self):
+        # -1e-17 % (2 pi) is 2 pi in floats, outside the promised [0, 2 pi)
+        assert SettingsTable(((-1e-17, 0.0), (0.0, -1e-300))).pairs == ((0.0, 0.0), (0.0, 0.0))
+
 
 class TestMaxViolation:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])

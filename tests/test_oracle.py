@@ -12,6 +12,7 @@ from symcorr.oracle import (
     oracle_bipartite_discord,
     oracle_channel_dilation,
     oracle_global_discord,
+    oracle_global_discord_full,
     oracle_lhv_bound,
 )
 from symcorr.qstate import Cut, DensityMatrix, QubitCapError, tensor
@@ -86,6 +87,14 @@ def test_deterministic_given_seed():
     assert a == b
     other = oracle_bipartite_discord(rho, cut, OracleConfig(restarts=4, grid_density=16, seed=99))
     assert a == pytest.approx(other, abs=1e-6)
+
+
+def test_global_angles_wrap_tiny_negative_results_to_zero(monkeypatch):
+    # a Powell result of -1e-17 wraps to the period itself in floats, outside RotationAngles' ranges
+    monkeypatch.setattr("symcorr.oracle._multistart_min", lambda objective, dim, config: (0.25, np.full(dim, -1e-17)))
+    value, angles = oracle_global_discord_full(thermo_state(3, 0.8), FAST)
+    assert value == 0.25
+    assert angles.pairs == ((0.0, 0.0),) * 3
 
 
 class TestChannelDilation:

@@ -241,9 +241,18 @@ def test_conditional_entropy_matches_kron_reference(case, seed, data):
     q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     subset = data.draw(st.none() | st.sets(st.integers(0, d - 1)))
     rows = q if subset is None else q[sorted(subset)]  # a full unitary, or some of its rows
-    ce = conditional_entropy(rho, Cut.of(rho.n_qubits, measured), rows)
+    cut = Cut.of(rho.n_qubits, measured)
+    ce = conditional_entropy(rho, cut, rows)
     assert isinstance(ce, float)
     assert abs(ce - _reference_conditional_entropy(rho, measured, rows)) <= 1e-12
+    # a (2, 3) stack of probe sets with the same rows of other unitaries: one value per set
+    unitaries = [np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0] for _ in range(6)]
+    stack = np.reshape([u if subset is None else u[sorted(subset)] for u in unitaries], (2, 3) + rows.shape)
+    stacked = conditional_entropy(rho, cut, stack)
+    assert stacked.shape == (2, 3)
+    for index in np.ndindex(2, 3):
+        assert abs(stacked[index] - conditional_entropy(rho, cut, stack[index])) <= 1e-12
+        assert abs(stacked[index] - _reference_conditional_entropy(rho, measured, stack[index])) <= 1e-12
 
 
 def test_conditional_entropy_edge_cases():
@@ -536,6 +545,26 @@ def test_conditional_entropy_over_theta_arrays_matches_scalar_calls(rho, seed):
             ce = view.conditional_entropy(k)
             scalar = np.array([[ce(float(t)) for t in row] for row in thetas])
             assert np.abs(ce(thetas) - scalar).max() <= 1e-15
+
+
+def test_dense_conditional_entropy_makes_one_kernel_call_per_angle_array(monkeypatch):
+    """The dense view measures every angle of an array in one call of the kernel, a scalar angle too."""
+    rho = _ghz_dicke_plus_mixture(4, np.random.default_rng(3))
+    assert x_form(rho) is None
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return conditional_entropy(*args)
+
+    monkeypatch.setattr("symcorr.xstate.conditional_entropy", counting)
+    thetas = np.random.default_rng(4).uniform(-math.pi, math.pi, (3, 5))
+    for k in range(1, 4):
+        ce = DenseSymmetric(rho).conditional_entropy(k)
+        for angles in (thetas, 0.3):
+            calls.clear()
+            assert np.shape(ce(angles)) == np.shape(angles)
+            assert len(calls) == 1
 
 
 def _unimodal_wave(u, r):

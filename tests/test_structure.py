@@ -1,6 +1,7 @@
 """Module structure: no private imports across modules, no lazy imports but the
 oracle's, one place that tells the structure classes apart, one discord angle
-search and none in `nonlocality`, and one version number."""
+search and none in `nonlocality`, one version number, and no source line wider
+than 109 columns."""
 
 import ast
 import os
@@ -99,6 +100,12 @@ def test_import_leaves_scipy_optimize_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split()[:2] == ["True", "True"], out.stdout
+
+
+def test_no_source_line_exceeds_109_columns():
+    long = [f"{path.name}:{number} has {len(line)}" for path in sorted((SRC / "symcorr").glob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 109]
+    assert long == []
 
 
 def test_package_version_matches_pyproject():
