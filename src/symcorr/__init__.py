@@ -18,7 +18,6 @@ from .genuine import (
     wootters_concurrence,
 )
 from .global_discord import (
-    RotationAngles,
     dephase_in_rotated_basis,
     global_discord,
     global_discord_thermo_analytic,
@@ -37,6 +36,7 @@ from .qstate import (
     DensityMatrix,
     PureState,
     QubitCapError,
+    RotationAngles,
     conditional_state,
     embed_operator,
     is_invariant_under,

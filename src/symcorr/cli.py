@@ -1,9 +1,10 @@
 """Command-line front end: single-state reports, parameter sweeps, bounds.
 
 Measures: genuine_discord, genuine_classical, global_discord, svetlichny and
-mutual_info (the minimum bipartite mutual information).  Sweeps write a CSV
-with one row per parameter value plus a JSON sidecar (<out>.meta.json) that
-records the run configuration and the per-point optimal angles in radians.
+mutual_info (the genuine total, the minimum bipartite mutual information).
+Sweeps write a CSV with one row per parameter value plus a JSON sidecar
+(<out>.meta.json) that records the run configuration and the per-point optimal
+angles in radians.
 
 Exit codes: 0 success, 2 usage error, 3 size-cap guard, 4 I/O error.
 """
@@ -22,12 +23,20 @@ from .genuine import genuine_correlations
 from .global_discord import global_discord
 from .nonlocality import bounds as svetlichny_bounds
 from .nonlocality import max_violation
-from .qstate import MODES, DensityMatrix, QubitCapError, enumerate_cuts, mutual_information
+from .qstate import MODES, DensityMatrix, QubitCapError
 from .states import ghz_ad_closed, ghz_pd_closed, thermo_state
 
 MEASURES = ("genuine_discord", "genuine_classical", "global_discord", "svetlichny", "mutual_info")
-FAMILIES = ("thermo", "ghz_ad", "ghz_pd")
-_PARAM_NAME = {"thermo": "p0", "ghz_ad": "lambda", "ghz_pd": "gamma"}
+FAMILIES = {"thermo": "p0", "ghz_ad": "lambda", "ghz_pd": "gamma"}  # family -> swept parameter
+
+
+def _fixed_params(family: str, alpha1) -> dict:
+    """The parameters held fixed along `family`: alpha1 for the GHZ families, which require it."""
+    if family == "thermo":
+        return {}
+    if alpha1 is None:
+        raise ValueError(f"family {family!r} requires alpha1")
+    return {"alpha1": alpha1}
 
 
 @dataclass(frozen=True)
@@ -45,7 +54,7 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
+            raise ValueError(f"family must be one of {tuple(FAMILIES)}, got {self.family!r}")
         if self.steps < 2:
             raise ValueError(f"steps must be at least 2, got {self.steps}")
         if not (0.0 <= self.start <= self.stop <= 1.0):
@@ -54,63 +63,49 @@ class SweepSpec:
             )
         if not self.measures or any(m not in MEASURES for m in self.measures):
             raise ValueError(f"measures must be a nonempty subset of {MEASURES}")
-        if self.family != "thermo" and self.alpha1 is None:
-            raise ValueError(f"family {self.family!r} requires alpha1")
+        _fixed_params(self.family, self.alpha1)
         object.__setattr__(self, "measures", tuple(self.measures))
 
 
 def _build_state(family: str, n: int, value: float, alpha1, strict: bool) -> DensityMatrix:
     if family == "thermo":
         return thermo_state(n, value)
-    if family == "ghz_ad":
-        return ghz_ad_closed(n, alpha1, value, strict=strict)
-    return ghz_pd_closed(n, alpha1, value, strict=strict)
+    return (ghz_ad_closed if family == "ghz_ad" else ghz_pd_closed)(n, alpha1, value, strict=strict)
 
 
 def _compute_measures(rho: DensityMatrix, measures, mode: str, seed: int):
+    """Values and optimal angles of `measures`; `mode` picks the discord search, and mutual_info is the
+    genuine total, from the genuine report in symmetric mode when no genuine measure asks for `mode`."""
     values, angles = {}, {}
-    if "genuine_discord" in measures or "genuine_classical" in measures:
-        report = genuine_correlations(rho, mode=mode)
-        values["genuine_discord"] = report.quantum
-        values["genuine_classical"] = report.classical
+    genuine = "genuine_discord" in measures or "genuine_classical" in measures
+    if genuine or "mutual_info" in measures:
+        report = genuine_correlations(rho, mode=mode if genuine else "symmetric")
+        values.update(genuine_discord=report.quantum, genuine_classical=report.classical,
+                      mutual_info=report.total)
         best = min(report.per_cut, key=lambda r: r.discord)
-        if best.optimal_theta is not None:
+        if genuine and best.optimal_theta is not None:
             angles["genuine_discord"] = {"theta": best.optimal_theta}
     if "global_discord" in measures:
         value, rot = global_discord(rho, mode=mode)
         values["global_discord"] = value
-        angles["global_discord"] = {
-            "theta": rot.pairs[0][0],
-            "phi": rot.pairs[0][1],
-        }
+        angles["global_discord"] = {"theta": rot.pairs[0][0], "phi": rot.pairs[0][1]}
     if "svetlichny" in measures:
         value, settings = max_violation(rho, seed=seed)
         values["svetlichny"] = value
         angles["svetlichny"] = {"settings": [list(p) for p in settings.pairs]}
-    if "mutual_info" in measures:
-        cuts = enumerate_cuts(rho.n_qubits, mode)
-        values["mutual_info"] = min(mutual_information(rho, cut) for cut in cuts)
     return values, angles
 
 
 def run_single(args) -> int:
     measures = tuple(dict.fromkeys(args.measure))
-    family = args.family
-    if family == "thermo":
-        if args.p0 is None:
-            raise ValueError("thermo requires --p0")
-        value, fixed = args.p0, {}
-    elif family == "ghz_ad":
-        if args.alpha1 is None or args.lam is None:
-            raise ValueError("ghz_ad requires --alpha1 and --lambda")
-        value, fixed = args.lam, {"alpha1": args.alpha1}
-    else:
-        if args.alpha1 is None or args.gamma is None:
-            raise ValueError("ghz_pd requires --alpha1 and --gamma")
-        value, fixed = args.gamma, {"alpha1": args.alpha1}
+    family, param = args.family, FAMILIES[args.family]
+    value = getattr(args, param)
+    if value is None:
+        raise ValueError(f"{family} requires --{param}")
+    fixed = _fixed_params(family, args.alpha1)
     rho = _build_state(family, args.n, value, args.alpha1, args.strict_alpha)
     values, _ = _compute_measures(rho, measures, args.mode, args.seed)
-    rows = [("family", family), ("n", str(args.n)), (_PARAM_NAME[family], f"{value:.12g}")]
+    rows = [("family", family), ("n", str(args.n)), (param, f"{value:.12g}")]
     rows += [(k, f"{v:.12g}") for k, v in fixed.items()]
     rows += [(m, f"{values[m]:.12g}") for m in measures]
     width = max(len(k) for k, _ in rows)
@@ -121,7 +116,7 @@ def run_single(args) -> int:
 
 def run_sweep(spec: SweepSpec, out_path: str):
     """Evaluate the sweep, write the CSV and its metadata sidecar, return the rows."""
-    param = _PARAM_NAME[spec.family]
+    param = FAMILIES[spec.family]
     grid = np.linspace(spec.start, spec.stop, spec.steps)
     rows, points = [], []
     for value in grid:
@@ -178,7 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(single)
     single.add_argument("--p0", type=float)
     single.add_argument("--alpha1", type=float)
-    single.add_argument("--lambda", dest="lam", type=float)
+    single.add_argument("--lambda", type=float)
     single.add_argument("--gamma", type=float)
 
     sweep = sub.add_parser("sweep", help="sweep a state parameter, write CSV")

@@ -26,6 +26,7 @@ from .qstate import (
     Cut,
     DensityMatrix,
     check_mode,
+    check_qubit_count,
     clamp_nonneg,
     enumerate_cuts,
     mutual_information,
@@ -132,8 +133,7 @@ def genuine_correlations(rho: DensityMatrix, mode: str = "symmetric") -> Genuine
     the brute-force oracle, subject to its qubit cap.
     """
     n = rho.n_qubits
-    if n < 2:
-        raise ValueError("genuine correlations need at least 2 qubits")
+    check_qubit_count(n, minimum=2)
     cuts = enumerate_cuts(n, mode)
     mutual_info_of, discord_of = _cut_measures(rho, mode, "genuine_correlations")
 

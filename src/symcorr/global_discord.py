@@ -18,41 +18,15 @@ pair it reports into theta in (0, pi/2], phi in [0, pi).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from .optim import THETA_GRID, THETA_STEP, fold_angles, grid_golden_min
-from .qstate import DensityMatrix, check_mode, clamp_nonneg, rotation_matrix, shannon_entropy
+from .qstate import DensityMatrix, RotationAngles, check_mode, clamp_nonneg, rotation_matrix, shannon_entropy
 from .xstate import binomials, symmetric_view
 
 _REFINE_TOL = 1e-7
-_TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class RotationAngles:
-    """Per-qubit (theta, phi) rotation pairs, theta in [0, pi), phi in [0, 2 pi)."""
-
-    pairs: tuple
-
-    def __post_init__(self):
-        pairs = tuple((float(t), float(p)) for t, p in self.pairs)
-        for t, p in pairs:
-            if not 0.0 <= t < math.pi:
-                raise ValueError(f"theta {t} outside [0, pi)")
-            if not 0.0 <= p < _TWO_PI:
-                raise ValueError(f"phi {p} outside [0, 2 pi)")
-        object.__setattr__(self, "pairs", pairs)
-
-    @classmethod
-    def uniform(cls, n_qubits: int, theta: float, phi: float) -> "RotationAngles":
-        return cls(((theta, phi),) * n_qubits)
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.pairs)
 
 
 def dephase_in_rotated_basis(rho: DensityMatrix, angles: RotationAngles) -> DensityMatrix:

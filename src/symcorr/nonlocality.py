@@ -126,6 +126,7 @@ def _svetlichny_evaluator(rho: DensityMatrix):
 
 def svetlichny_value(rho: DensityMatrix, settings: SettingsTable) -> float:
     """Value of the normalized polynomial at the given per-qubit settings."""
+    check_qubit_count(rho.n_qubits, minimum=2)
     if settings.n_qubits != rho.n_qubits:
         raise ValueError("settings table does not match the state's qubit count")
     return float(_svetlichny_evaluator(rho)(np.ravel(settings.pairs)))
@@ -174,6 +175,7 @@ def max_violation(
     which can stop short of the maximum, so its result is a lower bound.
     """
     n = rho.n_qubits
+    check_qubit_count(n, minimum=2)
     anti = _antidiagonal(rho)
     inner = anti[1:-1]
     if inner.size == 0 or np.abs(inner).max() < _FAST_PATH_TOL:
@@ -195,5 +197,9 @@ def bounds(n: int) -> SvetlichnyBounds:
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValueError(f"need an integer n >= 2, got {n!r}")
+    try:
+        quantum_max = _comb_max(n)
+    except OverflowError:
+        raise ValueError(f"the quantum maximum for n = {n} overflows a float") from None
     thresholds = () if n < 4 else (float(2 ** ((n - 2) // 2)),)
-    return SvetlichnyBounds(lhv=1.0, quantum_max=_comb_max(n), separability_thresholds=thresholds)
+    return SvetlichnyBounds(lhv=1.0, quantum_max=quantum_max, separability_thresholds=thresholds)

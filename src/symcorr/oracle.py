@@ -18,12 +18,12 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .channels import AMPLITUDE_DAMPING, ChannelSpec
-from .global_discord import RotationAngles
 from .nonlocality import svetlichny_expansion
 from .qstate import (
     Cut,
     DensityMatrix,
     QubitCapError,
+    RotationAngles,
     clamp_nonneg,
     conditional_entropy,
     embed_operator,

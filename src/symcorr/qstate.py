@@ -74,6 +74,30 @@ def rotation_matrix(theta, phi) -> np.ndarray:
     return r
 
 
+@dataclass(frozen=True)
+class RotationAngles:
+    """Per-qubit (theta, phi) arguments of `rotation_matrix`, theta in [0, pi), phi in [0, 2 pi)."""
+
+    pairs: tuple
+
+    def __post_init__(self):
+        pairs = tuple((float(t), float(p)) for t, p in self.pairs)
+        for t, p in pairs:
+            if not 0.0 <= t < np.pi:
+                raise ValueError(f"theta {t} outside [0, pi)")
+            if not 0.0 <= p < 2.0 * np.pi:
+                raise ValueError(f"phi {p} outside [0, 2 pi)")
+        object.__setattr__(self, "pairs", pairs)
+
+    @classmethod
+    def uniform(cls, n_qubits: int, theta: float, phi: float) -> "RotationAngles":
+        return cls(((theta, phi),) * n_qubits)
+
+    @property
+    def n_qubits(self) -> int:
+        return len(self.pairs)
+
+
 def _qubits_for_length(length: int) -> int:
     """n such that `length` == 2^n, n >= 1; integer arithmetic only."""
     if length < 2 or length & (length - 1):
@@ -271,8 +295,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 def total_correlations(rho: DensityMatrix) -> float:
     """Sum of all single-qubit reduced entropies minus the global entropy."""
-    if rho.n_qubits < 2:
-        raise ValueError("total correlations need at least 2 qubits")
+    check_qubit_count(rho.n_qubits, minimum=2)
     s = sum(von_neumann_entropy(partial_trace(rho, {j})) for j in range(rho.n_qubits))
     return float(s - von_neumann_entropy(rho))
 
@@ -405,8 +428,7 @@ def require_permutation_symmetric(rho: DensityMatrix, context: str) -> None:
     (2,)*2n tensor, O(4^n), and compared elementwise within 1e-9.
     """
     n = rho.n_qubits
-    if n < 2:
-        raise ValueError(f"{context} needs at least 2 qubits, got {n}")
+    check_qubit_count(n, minimum=2)
     t = rho.data.reshape((2,) * (2 * n))
     for perm in ([1, 0] + list(range(2, n)), [(i + 1) % n for i in range(n)]):
         moved = t.transpose(perm + [n + q for q in perm])

@@ -1,12 +1,16 @@
 """Command-line interface: verbs, CSV sweeps, sidecar metadata, exit codes."""
 
 import json
+import sys
+from functools import cache
 
 import numpy as np
 import pytest
 
-from symcorr.cli import SweepSpec, main, run_sweep
+from symcorr.cli import FAMILIES, SweepSpec, main, run_sweep
 from symcorr.global_discord import global_discord_thermo_analytic
+from symcorr.qstate import enumerate_cuts, mutual_information
+from symcorr.states import ghz_ad_closed, ghz_pd_closed, thermo_state
 
 
 def read_csv(path):
@@ -50,6 +54,11 @@ def test_bounds_verb(capsys):
     assert "2.82842712475" in out
     assert "2" in out.splitlines()[-1]
     assert main(["bounds", "--n", "13"]) == 0  # above the dense cap: a pure formula
+
+
+def test_bounds_past_the_float_range_exit_2(capsys):
+    assert main(["bounds", "--n", "1100"]) == 2
+    assert "overflows" in capsys.readouterr().err
 
 
 def test_sweep_thermo_symmetric_and_zero_at_half(tmp_path):
@@ -149,3 +158,56 @@ def test_io_error_exits_4(tmp_path, capsys):
                  "--steps", "2", "--measure", "mutual_info", "--out", str(target)])
     assert code == 4
     capsys.readouterr()
+
+
+ALPHA1 = 0.6
+_STATES = {
+    "thermo": thermo_state,
+    "ghz_ad": lambda n, value: ghz_ad_closed(n, ALPHA1, value),
+    "ghz_pd": lambda n, value: ghz_pd_closed(n, ALPHA1, value),
+}
+
+
+@cache
+def _dense_min_mutual_info(family, n, value):
+    rho = _STATES[family](n, value)
+    return min(mutual_information(rho, cut) for cut in enumerate_cuts(n, "general"))
+
+
+def _mutual_info_gap(tmp_path, family, n, grid, mode, measures):
+    """Largest distance of the swept mutual_info on `grid` from the dense minimum over every cut."""
+    spec = SweepSpec(family=family, n=n, start=grid[0], stop=grid[1], steps=grid[2], measures=measures,
+                     alpha1=None if family == "thermo" else ALPHA1, mode=mode)
+    rows = run_sweep(spec, str(tmp_path / "mi.csv"))
+    return max(abs(measured[measures.index("mutual_info")] - _dense_min_mutual_info(family, n, value))
+               for value, measured in rows)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", range(2, 9))
+def test_mutual_info_is_the_dense_minimum_over_every_bipartition(tmp_path, family, n):
+    """The genuine total equals the dense minimum of `mutual_information` over all 2^(n-1) - 1 cuts, in
+    both modes, with and without a genuine measure asking for the mode.  n = 8 takes two points, because
+    its 127 dense cuts dominate the test's time; the general-mode discord oracle, whose cost grows about
+    twentyfold per qubit, runs at n = 2 only, on two points."""
+    grid = (0.25, 0.75, 2) if n == 8 else (0.0, 1.0, 9)
+    runs = [(grid, "symmetric", ("genuine_discord", "mutual_info")), (grid, "symmetric", ("mutual_info",)),
+            (grid, "general", ("mutual_info",))]
+    if n == 2:
+        runs.append(((0.25, 0.75, 2), "general", ("genuine_classical", "mutual_info")))
+    for grid, mode, measures in runs:
+        assert _mutual_info_gap(tmp_path, family, n, grid, mode, measures) <= 1e-13, (mode, measures)
+
+
+def test_mutual_info_reads_no_dense_mutual_information(monkeypatch, capsys):
+    """The genuine report reads the structure-class view; the dense path re-solved S(rho) for every cut."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense mutual_information called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "symcorr" and hasattr(module, "mutual_information"):
+            monkeypatch.setattr(module, "mutual_information", refuse)
+    assert main(["single", "thermo", "--n", "10", "--p0", "0.3", "--measure", "mutual_info"]) == 0
+    printed = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    assert float(printed["mutual_info"]) > 0.0

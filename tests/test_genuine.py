@@ -128,6 +128,10 @@ class TestBipartiteDiscord:
 
 
 class TestGenuineCorrelations:
+    def test_needs_two_qubits(self):
+        with pytest.raises(ValueError, match="qubit count must be an integer >= 2"):
+            genuine_correlations(DensityMatrix.maximally_mixed(1))
+
     def test_thermo_half_all_zero(self):
         rep = genuine_correlations(thermo_state(3, 0.5))
         assert rep.total == pytest.approx(0.0, abs=1e-9)

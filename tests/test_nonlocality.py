@@ -236,3 +236,17 @@ class TestBounds:
             svetlichny_expansion(13)
         with pytest.raises(ValueError):
             svetlichny_expansion(1)
+
+    def test_a_quantum_maximum_past_the_float_range_is_a_value_error(self):
+        assert bounds(1024).quantum_max == pytest.approx(2.0**511.5)
+        with pytest.raises(ValueError, match="overflows"):
+            bounds(1100)
+
+
+def test_one_qubit_is_rejected_like_the_expansion():
+    """The polynomial needs two qubits; one qubit is a ValueError, not an IndexError or a silent 0."""
+    rho = DensityMatrix.maximally_mixed(1)
+    with pytest.raises(ValueError, match=">= 2"):
+        svetlichny_value(rho, SettingsTable(((0.0, np.pi / 2),)))
+    with pytest.raises(ValueError, match=">= 2"):
+        max_violation(rho)

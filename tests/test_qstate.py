@@ -228,7 +228,7 @@ class TestCorrelationQuantities:
         assert total_correlations(thermo_state(4, 0.5)) == pytest.approx(0.0, abs=1e-12)
 
     def test_total_correlations_needs_two_qubits(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="qubit count must be an integer >= 2"):
             total_correlations(DensityMatrix.maximally_mixed(1))
 
     def test_mutual_information_product_zero(self):
@@ -434,7 +434,7 @@ class TestPermutationSymmetryCheck:
             require_permutation_symmetric(_w_with_phases(3), "test")
 
     def test_single_qubit_is_a_plain_value_error(self):
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(ValueError, match="qubit count must be an integer >= 2") as info:
             require_permutation_symmetric(DensityMatrix.maximally_mixed(1), "test")
         assert type(info.value) is ValueError
 

@@ -1,9 +1,11 @@
 """Module structure: no private imports across modules, no lazy imports but the
-oracle's, one place that tells the structure classes apart, one discord angle
-search and none in `nonlocality`, one version number, and no source line wider
-than 109 columns."""
+oracle's and no import cycle, one place that tells the structure classes apart,
+one discord angle search and none in `nonlocality`, a CLI that reads mutual
+information from the genuine report, one version number, and no source line
+wider than 109 columns."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -112,3 +114,49 @@ def test_package_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib", reason="tomllib is in the standard library from Python 3.11")
     project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]
     assert project["version"] == symcorr.__version__
+
+
+def _relative_import_graph():
+    """module -> the package modules it imports relatively, at module or function level."""
+    modules = {path.stem for path in (SRC / "symcorr").glob("*.py")}
+    graph = {}
+    for module in modules:
+        edges = graph.setdefault(module, set())
+        for node in ast.walk(ast.parse((SRC / "symcorr" / f"{module}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                targets = [node.module] if node.module else [a.name for a in node.names if a.name in modules]
+                edges.update(targets or ["__init__"])
+    return graph
+
+
+def test_relative_import_graph_is_acyclic():
+    graph, done, path = _relative_import_graph(), set(), []
+
+    def visit(module):
+        assert module not in path, f"import cycle: {' -> '.join(path[path.index(module):] + [module])}"
+        if module in done:
+            return
+        path.append(module)
+        for target in sorted(graph[module]):
+            visit(target)
+        path.pop()
+        done.add(module)
+
+    for module in sorted(graph):
+        visit(module)
+
+
+def test_rotation_angles_live_in_qstate():
+    """Beside `rotation_matrix`, whose angles they tabulate; the old `global_discord` name still resolves."""
+    old_home = importlib.import_module("symcorr.global_discord")
+    assert symcorr.RotationAngles is old_home.RotationAngles is symcorr.qstate.RotationAngles
+    assert symcorr.RotationAngles.__module__ == "symcorr.qstate"
+
+
+def test_cli_takes_mutual_info_from_the_genuine_report():
+    """The CLI names neither the dense per-cut mutual information nor the cut enumeration."""
+    tree = ast.parse((SRC / "symcorr" / "cli.py").read_text())
+    names = {node.id if isinstance(node, ast.Name) else node.attr
+             for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert names & {"mutual_information", "enumerate_cuts"} == set()
