@@ -83,8 +83,14 @@ def svetlichny_expansion(n: int) -> SvetlichnyExpansion:
 
 
 def _antidiagonal(rho: DensityMatrix) -> np.ndarray:
-    """Elements rho[~s, s] connecting every basis state to its full bit flip."""
+    """Elements rho[~s, s] connecting every basis state to its full bit flip; (c*, 0, ..., 0, c) for a state
+    held in X form with corner c, read without building its dense matrix."""
     dim = rho.dim
+    if rho.x_parts is not None:
+        corner = rho.x_parts[1]
+        anti = np.zeros(dim, dtype=complex)
+        anti[0], anti[-1] = corner.conjugate() if corner.imag else corner, corner  # as `x_matrix` mirrors it
+        return anti
     idx = np.arange(dim)
     return rho.data[dim - 1 - idx, idx]
 
@@ -112,8 +118,9 @@ def _svetlichny_evaluator(rho: DensityMatrix):
     n = rho.n_qubits
     choices = basis_bits(n)
     weights = _monomial_weights(choices)
-    nonzero = np.flatnonzero(_antidiagonal(rho))  # exact zeros add nothing: an X state keeps two entries
-    anti = _antidiagonal(rho)[nonzero]
+    anti = _antidiagonal(rho)
+    nonzero = np.flatnonzero(anti)  # exact zeros add nothing: an X state keeps two entries
+    anti = anti[nonzero]
     signs = 2.0 * choices[nonzero] - 1.0
     index = (2 * np.arange(n) + choices).T  # [q, m]: flat position of monomial m's setting of qubit q
 
@@ -179,7 +186,7 @@ def max_violation(
     anti = _antidiagonal(rho)
     inner = anti[1:-1]
     if inner.size == 0 or np.abs(inner).max() < _FAST_PATH_TOL:
-        c = rho.data[0, rho.dim - 1]
+        c = anti[-1]  # rho[0...0, 1...1]
         delta = float(np.angle(c)) if abs(c) > 0.0 else 0.0
         settings = _closed_form_settings(n, delta)
         value = svetlichny_value(rho, settings)

@@ -6,13 +6,19 @@ Conventions, fixed package-wide:
   n-qubit basis state |b0 b1 ... b_{n-1}> sits at index sum_i b_i * 2**(n-1-i).
 * All entropies are in bits (base-2 logarithms).
 * Every value is immutable: constructors copy their input and mark the wrapped
-  arrays read-only, so states can be shared freely across threads.
+  arrays read-only, so states can be shared freely across threads.  A state
+  built from its X form (`DensityMatrix.from_x`, which the state families use)
+  builds its dense matrix once, on the first read of `data`, under a lock;
+  the build is idempotent, and every later read returns the same array.
 
-Matrices are dense, with a practical cap of MAX_QUBITS qubits.
+Matrices are dense, with a practical cap of MAX_QUBITS qubits; a state built
+from its X form is dense only once something reads its matrix.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -29,6 +35,7 @@ _BRANCH_ENTRIES = 2**18  # branch-state entries per conditional-entropy slice, w
 UNITARITY_TOL = 1e-10
 INVARIANCE_TOL = 1e-9
 MODES = ("symmetric", "general")  # symmetry-reduced search, or the brute-force oracle
+_BUILD_LOCK = threading.Lock()  # so that threads reading one `from_x` state's `data` get one matrix
 
 
 def clamp_nonneg(x: float, what: str) -> float:
@@ -59,6 +66,25 @@ def check_mode(mode: str) -> None:
 def basis_bits(n: int) -> np.ndarray:
     """(2^n, n) table of 0/1 bits: row i holds the bits of basis index i, qubit 0 first."""
     return (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+
+
+def check_x_positive(populations: np.ndarray, corner: complex) -> None:
+    """Raise ValueError unless an X form is positive semidefinite, in O(n): every population, and the
+    smaller eigenvalue of the corner block [[p_0, c], [c*, p_n]], at least EIGENVALUE_FLOOR."""
+    p0, pn = populations[0], populations[-1]
+    lowest = min(populations.min(), (p0 + pn) / 2.0 - math.hypot((p0 - pn) / 2.0, abs(corner)))
+    if not lowest >= EIGENVALUE_FLOOR:
+        raise ValueError(f"eigenvalue {lowest} below {EIGENVALUE_FLOOR}: state is not positive semidefinite")
+
+
+def x_matrix(n: int, populations: np.ndarray, corner: complex) -> np.ndarray:
+    """Read-only dense matrix of an X form: `populations[w]` at every index with w excitations, `corner` at
+    [0, 2^n - 1] and its conjugate at [2^n - 1, 0]; O(4^n)."""
+    mat = np.diag(populations.astype(complex)[basis_bits(n).sum(axis=1)])
+    mat[0, -1] = corner
+    mat[-1, 0] = corner.conjugate() if corner.imag else corner  # a real corner keeps its +0j
+    mat.flags.writeable = False
+    return mat
 
 
 def rotation_matrix(theta, phi) -> np.ndarray:
@@ -149,10 +175,13 @@ class DensityMatrix:
     Enforced on construction: Hermiticity (elementwise 1e-10) and unit trace
     (1e-10).  Positivity is enforced lazily: `eigenvalues` rejects any
     eigenvalue below -1e-9 and clamps the remaining numerical noise to [0, 1].
+    A state made by `from_x` is checked in O(n), positivity included, holds
+    its X form in `x_parts` and builds `data` on the first read.
     """
 
     n_qubits: int
     data: np.ndarray
+    x_parts = None  # (populations by excitation count, corner) of a state made by `from_x`
 
     def __post_init__(self):
         check_qubit_count(self.n_qubits)
@@ -170,6 +199,44 @@ class DensityMatrix:
             raise ValueError(f"trace {tr!r} is not 1 within tolerance 1e-10")
         mat.flags.writeable = False
         object.__setattr__(self, "data", mat)
+
+    def __getattr__(self, name):
+        # reached only while `data` is unset, that is for a `from_x` state before its first read
+        if name != "data" or "x_parts" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        with _BUILD_LOCK:
+            if "data" not in self.__dict__:
+                object.__setattr__(self, "data", x_matrix(self.n_qubits, *self.x_parts))
+        return self.__dict__["data"]
+
+    @classmethod
+    def from_x(cls, n_qubits: int, populations, corner: complex) -> "DensityMatrix":
+        """The X state with `populations[w]` on every basis state of w excitations, w = 0..n, and `corner`
+        at [0...0, 1...1], its conjugate mirrored; n >= 2.
+
+        Checked in O(n) instead of the O(4^n) scan: the entries are finite, the populations real, the trace
+        sum_w C(n, w) p_w is 1 within 1e-10, and the form is positive semidefinite (`check_x_positive`).
+        `data` is built on its first read, with exactly the entries listed here.
+        """
+        check_qubit_count(n_qubits, minimum=2)
+        pops = np.array(populations, dtype=complex)
+        corner = complex(corner)
+        if pops.shape != (n_qubits + 1,):
+            raise ValueError(f"need {n_qubits + 1} populations, got shape {pops.shape}")
+        if not (np.isfinite(pops).all() and np.isfinite(corner)):
+            raise ValueError("populations and corner must be finite")
+        if pops.imag.any():
+            raise ValueError("populations must be real")
+        pops = pops.real.copy()
+        tr = float(pops @ [math.comb(n_qubits, w) for w in range(n_qubits + 1)])
+        if not abs(tr - 1.0) <= TRACE_TOL:
+            raise ValueError(f"trace {tr!r} is not 1 within tolerance 1e-10")
+        check_x_positive(pops, corner)
+        pops.flags.writeable = False
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "n_qubits", n_qubits)
+        object.__setattr__(rho, "x_parts", (pops, corner))
+        return rho
 
     @classmethod
     def from_matrix(cls, mat) -> "DensityMatrix":

@@ -3,7 +3,9 @@
 Covers the symmetric mixed states produced by coherently remixing the extremal
 levels of a thermal product state, weighted GHZ states with their amplitude-
 and phase-damped closed forms, and the single-angle measurement basis
-families used by the discord optimizers.
+families used by the discord optimizers.  The mixed families are X states,
+built from their populations by excitation count and their corner
+(`DensityMatrix.from_x`), so no dense matrix exists until one is read.
 """
 
 from __future__ import annotations
@@ -45,18 +47,6 @@ def _check_alpha(alpha1: float, strict: bool) -> tuple[float, float]:
     return alpha1, alpha2
 
 
-def _x_state(n: int, populations, coherence: float) -> DensityMatrix:
-    """Diagonal state with the real corner coherence |0...0><1...1| (an X state).
-
-    `populations[w]` sits on every basis state with w qubits in |1>,
-    w = 0..n; `coherence` sits on both corners.
-    """
-    weight = basis_bits(n).sum(axis=1)
-    mat = np.diag(np.asarray(populations, dtype=complex)[weight])
-    mat[0, -1] = mat[-1, 0] = coherence
-    return DensityMatrix(n, mat)
-
-
 def thermo_state(n: int, p0: float) -> DensityMatrix:
     """Symmetric n-qubit mixed state with remixed extremal levels.
 
@@ -73,7 +63,7 @@ def thermo_state(n: int, p0: float) -> DensityMatrix:
     p1 = 1.0 - p0
     top = (p0**n + p1**n) / 2.0
     populations = [top] + [p0 ** (n - w) * p1**w for w in range(1, n)] + [top]
-    return _x_state(n, populations, (p0**n - p1**n) / 2.0)
+    return DensityMatrix.from_x(n, populations, (p0**n - p1**n) / 2.0)
 
 
 def ghz_state(n: int, alpha1: float, strict: bool = False) -> PureState:
@@ -103,7 +93,7 @@ def ghz_ad_closed(n: int, alpha1: float, lam: float, strict: bool = False) -> De
     lam = _check_unit_interval(lam, "lambda")
     populations = [alpha2**2 * (1.0 - lam) ** k * lam ** (n - k) for k in range(n + 1)]
     populations[0] += alpha1**2
-    return _x_state(n, populations, alpha1 * alpha2 * (1.0 - lam) ** (n / 2.0))
+    return DensityMatrix.from_x(n, populations, alpha1 * alpha2 * (1.0 - lam) ** (n / 2.0))
 
 
 def ghz_pd_closed(n: int, alpha1: float, gamma: float, strict: bool = False) -> DensityMatrix:
@@ -116,7 +106,7 @@ def ghz_pd_closed(n: int, alpha1: float, gamma: float, strict: bool = False) -> 
     alpha1, alpha2 = _check_alpha(alpha1, strict)
     gamma = _check_unit_interval(gamma, "gamma")
     populations = [alpha1**2] + [0.0] * (n - 1) + [alpha2**2]
-    return _x_state(n, populations, alpha1 * alpha2 * (1.0 - gamma) ** (n / 2.0))
+    return DensityMatrix.from_x(n, populations, alpha1 * alpha2 * (1.0 - gamma) ** (n / 2.0))
 
 
 def symmetric_basis(k: int, theta: float) -> np.ndarray:

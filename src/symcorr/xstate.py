@@ -21,6 +21,7 @@ from .qstate import (
     DensityMatrix,
     QubitCapError,
     basis_bits,
+    check_x_positive,
     conditional_entropy,
     partial_trace,
     require_permutation_symmetric,
@@ -168,6 +169,7 @@ def x_form(rho: DensityMatrix) -> XState | None:
 
     Every off-diagonal entry but the two corners must be at most INVARIANCE_TOL
     in modulus, and the diagonal constant within it on each excitation count.
+    A form that is not positive semidefinite raises ValueError (`check_x_positive`).
     """
     n = rho.n_qubits
     off = np.abs(rho.data)
@@ -178,12 +180,17 @@ def x_form(rho: DensityMatrix) -> XState | None:
     uneven = np.abs(diag - populations[basis_bits(n).sum(axis=1)])
     if n < 2 or not max(off.max(), uneven.max()) <= INVARIANCE_TOL:
         return None
+    corner = complex(rho.data[0, -1])
+    check_x_positive(populations, corner)
     populations.flags.writeable = False
-    return XState(populations, complex(rho.data[0, -1]))
+    return XState(populations, corner)
 
 
 def symmetric_view(rho: DensityMatrix, context: str) -> XState | DenseSymmetric:
-    """The X form of `rho`, else its dense view once `require_permutation_symmetric(rho, context)` passes."""
+    """The X form `rho` was built from, else the one `x_form` finds in its matrix, else its dense view once
+    `require_permutation_symmetric(rho, context)` passes."""
+    if rho.x_parts is not None:
+        return XState(*rho.x_parts)
     x = x_form(rho)
     if x is not None:
         return x

@@ -424,7 +424,7 @@ def test_each_measure_call_detects_the_class_once(monkeypatch, module, measure):
         return x_form(rho)
 
     monkeypatch.setattr(importlib.import_module("symcorr.xstate"), "x_form", counted)
-    measure(thermo_state(4, 0.3))
+    measure(DensityMatrix(4, thermo_state(4, 0.3).data))  # built dense: a family state is never scanned
     assert len(calls) == 1
 
 
