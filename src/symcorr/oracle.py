@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 from scipy.optimize import minimize
@@ -24,6 +23,7 @@ from .qstate import (
     DensityMatrix,
     QubitCapError,
     RotationAngles,
+    check_qubit_count,
     clamp_nonneg,
     conditional_entropy,
     embed_operator,
@@ -45,8 +45,14 @@ class OracleConfig:
     max_qubits: int = 4
 
     def __post_init__(self):
+        for name in ("restarts", "grid_density", "max_qubits"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_qubits > 5:
             raise ValueError("oracle searches are capped at 5 qubits")
+        if self.max_qubits < 2:
+            raise ValueError(f"max_qubits must be at least 2, got {self.max_qubits}")
         if self.restarts < 1 or self.grid_density < 1:
             raise ValueError("restarts and grid_density must be positive")
 
@@ -115,23 +121,30 @@ def oracle_bipartite_discord(rho: DensityMatrix, cut: Cut, config: OracleConfig 
 def oracle_global_discord_full(
     rho: DensityMatrix, config: OracleConfig = DEFAULT_CONFIG
 ) -> tuple[float, RotationAngles]:
-    """Global discord minimized over all 2n rotation angles; returns the angles too."""
+    """Global discord minimized over all 2n rotation angles; returns the angles too.
+
+    Each point does a full dense change of basis, independent of the fast path's one outcome string per
+    weight: a left fold of broadcast outer products (the products of `reduce(np.kron, rots)`, entry for
+    entry), and one stacked product for the n single-qubit terms, summed in qubit order.  The objective
+    is bit-identical to the per-qubit `np.kron` form, so Powell takes the same path.
+    """
+    check_qubit_count(rho.n_qubits, minimum=2)
     _check_cap(rho.n_qubits, config)
     n = rho.n_qubits
     s_rho = von_neumann_entropy(rho)
     reduced = [partial_trace(rho, {j}) for j in range(n)]
     s_reduced = [von_neumann_entropy(r) for r in reduced]
-    reduced_data = [r.data for r in reduced]
+    reduced_data = np.stack([r.data for r in reduced])
     data = rho.data
 
     def objective(params: np.ndarray) -> float:
         rots = rotation_matrix(params[:n], params[n:])
-        # a full dense change of basis, independent of the fast path's one outcome string per weight
-        ent = [
-            shannon_entropy(np.diag(b.conj().T @ d @ b).real)
-            for d, b in [(data, reduce(np.kron, rots))] + list(zip(reduced_data, rots))
-        ]
-        return (ent[0] - s_rho) - sum(e - s for e, s in zip(ent[1:], s_reduced))
+        b = rots[0]
+        for r in rots[1:]:
+            b = (b[:, None, :, None] * r[None, :, None, :]).reshape(2 * len(b), -1)
+        dense = shannon_entropy(np.diag(b.conj().T @ data @ b).real)
+        single = shannon_entropy((rots.conj().swapaxes(1, 2) @ reduced_data @ rots).diagonal(0, 1, 2).real)
+        return (dense - s_rho) - sum(e - s for e, s in zip(single.tolist(), s_reduced))
 
     value, x = _multistart_min(objective, 2 * n, config)
     # a second wrap maps the period, the remainder of a tiny negative angle in floats, to 0

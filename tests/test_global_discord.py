@@ -180,6 +180,11 @@ class TestSharedAngleEvaluatorMatchesDensePath:
             global_discord(DensityMatrix.maximally_mixed(1))
         assert type(info.value) is ValueError
 
+    def test_single_qubit_is_a_plain_value_error_in_general_mode(self):
+        with pytest.raises(ValueError) as info:
+            global_discord(DensityMatrix.maximally_mixed(1), mode="general")
+        assert type(info.value) is ValueError
+
     def test_symmetric_mode_refuses_eleven_qubits_up_front(self, monkeypatch):
         # a dense shared-angle scan takes about 12 s at 10 qubits; at 11 the cap of the dense view fires
         # before any grid work or full-state eigensolve

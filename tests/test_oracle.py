@@ -1,7 +1,10 @@
 """Brute-force validators: determinism, guards, and cross-route agreement."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from symcorr.channels import AMPLITUDE_DAMPING, PHASE_DAMPING, ChannelSpec, apply_local_channel
 from symcorr.genuine import bipartite_discord
@@ -15,8 +18,17 @@ from symcorr.oracle import (
     oracle_global_discord_full,
     oracle_lhv_bound,
 )
-from symcorr.qstate import Cut, DensityMatrix, QubitCapError, tensor
-from symcorr.states import ghz_state, thermo_state
+from symcorr.qstate import (
+    Cut,
+    DensityMatrix,
+    QubitCapError,
+    partial_trace,
+    rotation_matrix,
+    shannon_entropy,
+    tensor,
+    von_neumann_entropy,
+)
+from symcorr.states import ghz_ad_closed, ghz_pd_closed, ghz_state, thermo_state
 
 FAST = OracleConfig(restarts=4, grid_density=16, seed=5)
 
@@ -31,6 +43,13 @@ def random_density(rng, n):
 def test_config_guards():
     with pytest.raises(ValueError):
         OracleConfig(max_qubits=6)
+    bad = [{"restarts": 1.5}, {"restarts": True}, {"grid_density": 16.0}, {"grid_density": False},
+           {"max_qubits": 4.0}, {"max_qubits": True}, {"max_qubits": "4"},
+           {"max_qubits": 1}, {"max_qubits": 0}]
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            OracleConfig(**kwargs)
+    OracleConfig(restarts=np.int64(2), grid_density=np.int32(3), max_qubits=2)
     with pytest.raises(QubitCapError):
         oracle_bipartite_discord(thermo_state(5, 0.7), Cut.of(5, {4}), FAST)
     big = OracleConfig(restarts=1, grid_density=4, seed=1, max_qubits=5)
@@ -95,6 +114,62 @@ def test_global_angles_wrap_tiny_negative_results_to_zero(monkeypatch):
     value, angles = oracle_global_discord_full(thermo_state(3, 0.8), FAST)
     assert value == 0.25
     assert angles.pairs == ((0.0, 0.0),) * 3
+
+
+def _kron_objective(rho):
+    """The full-angle global objective written per qubit, with the basis built by `reduce(np.kron, rots)`."""
+    n = rho.n_qubits
+    s_rho = von_neumann_entropy(rho)
+    reduced = [partial_trace(rho, {j}) for j in range(n)]
+    s_reduced = [von_neumann_entropy(r) for r in reduced]
+
+    def objective(params):
+        rots = rotation_matrix(params[:n], params[n:])
+        pairs = [(rho.data, reduce(np.kron, rots))] + [(r.data, u) for r, u in zip(reduced, rots)]
+        ent = [shannon_entropy(np.diag(b.conj().T @ d @ b).real) for d, b in pairs]
+        return (ent[0] - s_rho) - sum(e - s for e, s in zip(ent[1:], s_reduced))
+
+    return objective
+
+
+def _ghz_plus(n, weight):
+    ghz = ghz_state(n, 1 / np.sqrt(2)).amplitudes
+    plus = np.full(2**n, 2 ** (-n / 2), dtype=complex)
+    return DensityMatrix(n, weight * np.outer(ghz, ghz.conj()) + (1 - weight) * np.outer(plus, plus))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: thermo_state(2, 0.8),
+        lambda: random_density(np.random.default_rng(29), 2),
+        lambda: ghz_pd_closed(3, 1 / np.sqrt(2), 0.4),
+        lambda: _ghz_plus(3, 0.6),
+        lambda: ghz_ad_closed(4, 1 / np.sqrt(2), 0.3),
+        lambda: tensor(random_density(np.random.default_rng(31), 3), DensityMatrix(1, np.diag([1.0, 0.0]))),
+    ],
+    ids=["thermo n=2", "random n=2", "ghz_pd n=3", "ghz+plus n=3", "ghz_ad n=4", "random x pure n=4"],
+)
+def test_global_objective_is_bit_identical_to_the_kron_form(monkeypatch, make):
+    # bit-identical objectives keep every Powell step, and so every oracle value and angle, unchanged
+    rho = make()
+    n = rho.n_qubits
+    seen = []
+
+    def recording(objective, x0, **kwargs):
+        seen.append(objective)
+        return minimize(objective, x0, **kwargs)
+
+    monkeypatch.setattr("symcorr.oracle.minimize", recording)
+    oracle_global_discord_full(rho, OracleConfig(restarts=1, grid_density=1, seed=3))
+    (objective,) = seen
+    want = _kron_objective(rho)
+    rng = np.random.default_rng(37)
+    # theta = 0 on some qubits leaves exact zero probabilities in the dephased diagonals
+    thetas = 0.5 * np.pi * rng.integers(0, 2, (200, n))
+    quarter_turns = np.concatenate([thetas, rng.uniform(0, 2 * np.pi, (200, n))], 1)
+    points = np.concatenate([rng.uniform(0, 2 * np.pi, (1000, 2 * n)), quarter_turns])
+    assert sum(objective(x) != want(x) for x in points) == 0
 
 
 class TestChannelDilation:
