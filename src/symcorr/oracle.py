@@ -23,6 +23,7 @@ from .qstate import (
     DensityMatrix,
     QubitCapError,
     RotationAngles,
+    check_integer,
     check_qubit_count,
     clamp_nonneg,
     conditional_entropy,
@@ -45,16 +46,10 @@ class OracleConfig:
     max_qubits: int = 4
 
     def __post_init__(self):
-        for name in ("restarts", "grid_density", "max_qubits"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name, minimum in (("restarts", 1), ("grid_density", 1), ("seed", 0), ("max_qubits", 2)):
+            check_integer(name, getattr(self, name), minimum)
         if self.max_qubits > 5:
             raise ValueError("oracle searches are capped at 5 qubits")
-        if self.max_qubits < 2:
-            raise ValueError(f"max_qubits must be at least 2, got {self.max_qubits}")
-        if self.restarts < 1 or self.grid_density < 1:
-            raise ValueError("restarts and grid_density must be positive")
 
 
 DEFAULT_CONFIG = OracleConfig()

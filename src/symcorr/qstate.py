@@ -49,10 +49,15 @@ class QubitCapError(ValueError):
     """Raised when an operation would exceed the dense-matrix size cap."""
 
 
+def check_integer(name: str, value, minimum: int) -> None:
+    """Reject a `value` that is not an integer >= `minimum`; bools are rejected, numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def check_qubit_count(n: int, minimum: int = 1) -> None:
     """Reject a qubit count that is not an integer >= `minimum` or exceeds the cap."""
-    if not isinstance(n, (int, np.integer)) or n < minimum:
-        raise ValueError(f"qubit count must be an integer >= {minimum}, got {n!r}")
+    check_integer("qubit count", n, minimum)
     if n > MAX_QUBITS:
         raise QubitCapError(f"dense representation is capped at {MAX_QUBITS} qubits, got {n}")
 

@@ -132,6 +132,14 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_negative_svetlichny_seed_exits_2(capsys):
+    args = ["single", "ghz_ad", "--n", "3", "--alpha1", "0.7071067811865476", "--lambda", "0.2",
+            "--measure", "svetlichny"]
+    assert main(args + ["--seed", "0"]) == 0
+    assert main(args + ["--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
 def test_size_guard_exits_3(capsys):
     code = main(["single", "thermo", "--n", "8", "--p0", "0.7",
                  "--mode", "general", "--measure", "genuine_discord"])

@@ -1,5 +1,6 @@
 """Svetlichny polynomials, correlation functions and violation maximization."""
 
+import math
 from fractions import Fraction
 from functools import reduce
 
@@ -9,7 +10,9 @@ import pytest
 from symcorr import nonlocality
 from symcorr.nonlocality import (
     SettingsTable,
+    _antidiagonal_entries,
     _coordinate_search_max,
+    _svetlichny_evaluator,
     bounds,
     correlation,
     max_violation,
@@ -34,6 +37,37 @@ def recursive_polynomial_value(n, o_values, big_o_values):
             0.5 * big * (o + big_o) + 0.5 * m * (big_o - o),
         )
     return m if n % 2 == 0 else (m + big) / 2.0
+
+
+def search(rho, restarts, seed):
+    """The coordinate search alone, on the evaluator `max_violation` builds."""
+    n = rho.n_qubits
+    return _coordinate_search_max(_svetlichny_evaluator(n, *_antidiagonal_entries(rho)), n, restarts, seed)
+
+
+def ghz_plus_mixture(n, ghz_weight):
+    """ghz_weight GHZ + (1 - ghz_weight) |+...+>: coherence on every antidiagonal entry."""
+    ghz = ghz_state(n, SQ2).to_density_matrix().data
+    return DensityMatrix(n, ghz_weight * ghz + (1.0 - ghz_weight) * np.full((2**n, 2**n), 2.0**-n))
+
+
+def per_restart_search(rho, restarts, seed):
+    """The coordinate search one restart at a time, as it ran before the restarts were batched: every
+    restart's final value and flattened table, in draw order."""
+    n = rho.n_qubits
+    evaluate = _svetlichny_evaluator(n, *_antidiagonal_entries(rho))
+    rng = np.random.default_rng(seed)
+    finals = []
+    for _ in range(restarts):
+        x = rng.uniform(0.0, 2.0 * math.pi, 2 * n)
+        for _ in range(3):
+            for i in range(2 * n):
+                trials = x[None].repeat(3, axis=0)
+                trials[:, i] = 0.0, math.pi / 2.0, math.pi
+                f0, f1, f2 = evaluate(trials)
+                x[i] = math.atan2(f1 - (f0 + f2) / 2.0, (f0 - f2) / 2.0)
+        finals.append((float(evaluate(x)), x.copy()))
+    return finals
 
 
 class TestExpansion:
@@ -132,6 +166,18 @@ class TestSvetlichnyValue:
             svetlichny_value(rho, shifted), abs=1e-12
         )
 
+    @pytest.mark.parametrize("pairs", [
+        ((np.nan, 0.0), (0.0, np.inf)),
+        ((0.0, 1.0), (0.0, -np.inf)),
+        ((0.0, 1.0, 2.0), (0.0, 1.0)),
+        ((0.0,), (0.0, 1.0)),
+        (0.5, (0.0, 1.0)),
+        ((1j, 0.0), (0.0, 1.0)),
+    ])
+    def test_bad_angles_are_rejected_at_construction(self, pairs):
+        with pytest.raises(ValueError, match="setting"):
+            SettingsTable(pairs)
+
     def test_tiny_negative_angles_wrap_to_zero(self):
         # -1e-17 % (2 pi) is 2 pi in floats, outside the promised [0, 2 pi)
         assert SettingsTable(((-1e-17, 0.0), (0.0, -1e-300))).pairs == ((0.0, 0.0), (0.0, 0.0))
@@ -166,26 +212,71 @@ class TestMaxViolation:
     def test_closed_form_agrees_with_generic_search(self, n):
         rho = ghz_ad_closed(n, SQ2, 0.15)
         fast, _ = max_violation(rho)
-        generic, _ = _coordinate_search_max(rho, restarts=12, seed=4)
+        generic, _ = search(rho, restarts=12, seed=4)
         assert generic == pytest.approx(fast, abs=1e-9)
         assert generic <= fast + 1e-9
 
-    def test_each_coordinate_step_is_one_call_on_three_tables(self, monkeypatch):
+    def test_each_coordinate_step_is_one_call_on_three_tables(self):
+        rho = ghz_ad_closed(2, SQ2, 0.15)
+        evaluate = _svetlichny_evaluator(2, *_antidiagonal_entries(rho))
         shapes = []
-        build = nonlocality._svetlichny_evaluator
 
-        def counted(rho):
-            evaluate = build(rho)
+        def counted(flat):
+            shapes.append(np.shape(flat))
+            return evaluate(flat)
 
-            def value(flat):
-                shapes.append(np.shape(flat))
-                return evaluate(flat)
+        _coordinate_search_max(counted, 2, restarts=5, seed=0)
+        # three sweeps over 4 angles, every restart's three tables in one call, then every restart's value
+        assert shapes == [(5, 3, 4)] * 12 + [(5, 4)]
 
-            return value
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n, ghz_weight", [(3, 0.6), (5, 0.3)])
+    def test_batched_restarts_match_the_per_restart_loop(self, n, ghz_weight, seed):
+        rho = ghz_plus_mixture(n, ghz_weight)
+        finals = per_restart_search(rho, restarts=64, seed=seed)
+        winner = max(range(len(finals)), key=lambda r: (finals[r][0], -r))  # the first best restart
+        value, settings = max_violation(rho, seed=seed)
+        got = np.ravel(settings.pairs)
+        gaps = [np.abs((got - x + np.pi) % (2 * np.pi) - np.pi).max() for _, x in finals]
+        assert int(np.argmin(gaps)) == winner
+        assert gaps[winner] <= 1e-9
+        assert abs(value - finals[winner][0]) <= 1e-12
 
-        monkeypatch.setattr(nonlocality, "_svetlichny_evaluator", counted)
-        _coordinate_search_max(ghz_ad_closed(2, SQ2, 0.15), restarts=2, seed=0)
-        assert shapes == ([(3, 4)] * 12 + [(4,)]) * 2  # three sweeps over 4 angles, then the restart's value
+    @pytest.mark.parametrize("kwargs", [
+        {"restarts": 0}, {"restarts": -1}, {"restarts": 1.5}, {"restarts": True}, {"restarts": "8"},
+        {"seed": 1.5}, {"seed": -1}, {"seed": True}, {"seed": None},
+    ])
+    def test_arguments_are_checked_on_every_path(self, kwargs):
+        for rho in (ghz_ad_closed(3, SQ2, 0.2), ghz_plus_mixture(3, 0.6)):
+            with pytest.raises(ValueError, match="restarts|seed"):
+                max_violation(rho, **kwargs)
+
+    def test_numpy_integer_arguments_pass(self):
+        rho = ghz_plus_mixture(2, 0.6)
+        assert max_violation(rho, restarts=np.int64(2), seed=np.int32(1)) == max_violation(rho, restarts=2, seed=1)
+
+    def test_a_state_without_full_bit_flip_coherence_is_zero_in_closed_form(self):
+        for rho in (ghz_ad_closed(4, SQ2, 1.0), thermo_state(3, 0.5), DensityMatrix.maximally_mixed(3)):
+            value, settings = max_violation(rho)
+            assert value == 0.0
+            assert svetlichny_value(rho, settings) == 0.0
+
+    @pytest.mark.parametrize("family", ["thermo", "ghz_ad", "ghz_pd"])
+    def test_family_states_build_no_basis_table_and_no_matrix(self, family, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a 2^n table on an X-state path")
+
+        for target in ("symcorr.qstate.basis_bits", "symcorr.nonlocality.basis_bits", "symcorr.qstate.x_matrix"):
+            monkeypatch.setattr(target, refuse)
+        make = {"thermo": lambda n, x: thermo_state(n, 1.0 - x / 2.0), "ghz_ad": lambda n, x: ghz_ad_closed(n, 0.6, x),
+                "ghz_pd": lambda n, x: ghz_pd_closed(n, 0.6, x)}[family]
+        for n in range(2, 13):
+            for x in (0.0, 0.3, 0.8):
+                rho = make(n, x)
+                value, settings = max_violation(rho)
+                assert value == pytest.approx(2.0 * abs(rho.x_parts[1]) * nonlocality._comb_max(n), rel=1e-13)
+                assert svetlichny_value(rho, settings) == value
+                assert correlation(rho, [0.0] * n) == pytest.approx(2.0 * rho.x_parts[1].real, abs=1e-15)
 
     def test_generic_path_handles_general_states(self):
         rng = np.random.default_rng(31)

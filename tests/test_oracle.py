@@ -45,11 +45,11 @@ def test_config_guards():
         OracleConfig(max_qubits=6)
     bad = [{"restarts": 1.5}, {"restarts": True}, {"grid_density": 16.0}, {"grid_density": False},
            {"max_qubits": 4.0}, {"max_qubits": True}, {"max_qubits": "4"},
-           {"max_qubits": 1}, {"max_qubits": 0}]
+           {"max_qubits": 1}, {"max_qubits": 0}, {"seed": 1.5}, {"seed": -1}, {"seed": True}]
     for kwargs in bad:
         with pytest.raises(ValueError):
             OracleConfig(**kwargs)
-    OracleConfig(restarts=np.int64(2), grid_density=np.int32(3), max_qubits=2)
+    OracleConfig(restarts=np.int64(2), grid_density=np.int32(3), seed=np.int64(0), max_qubits=2)
     with pytest.raises(QubitCapError):
         oracle_bipartite_discord(thermo_state(5, 0.7), Cut.of(5, {4}), FAST)
     big = OracleConfig(restarts=1, grid_density=4, seed=1, max_qubits=5)

@@ -536,6 +536,16 @@ def test_svetlichny_value_matches_full_antidiagonal_sum(rho, seed):
 
 
 @PROPS
+@given(n=st.integers(2, 8), seed=seeds)
+def test_svetlichny_value_matches_full_antidiagonal_sum_on_general_states(n, seed):
+    """The product form against the monomial expansion on states with no permutation symmetry."""
+    rng = np.random.default_rng(seed)
+    rho = _random_state(n, rng)
+    table = SettingsTable(tuple(map(tuple, rng.uniform(0.0, 2.0 * math.pi, (n, 2)))))
+    assert abs(svetlichny_value(rho, table) - _full_antidiagonal_value(rho, table)) <= 1e-12
+
+
+@PROPS
 @given(rho=st.one_of(x_states(), non_x_states), seed=seeds)
 def test_conditional_entropy_over_theta_arrays_matches_scalar_calls(rho, seed):
     thetas = np.random.default_rng(seed).uniform(-math.pi, math.pi, (3, 5))

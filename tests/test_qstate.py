@@ -98,6 +98,10 @@ class TestTypes:
         with pytest.raises(QubitCapError):
             DensityMatrix(13, np.eye(2**13) / 2**13)
 
+    def test_a_bool_is_not_a_qubit_count(self):
+        with pytest.raises(ValueError, match="qubit count must be an integer >= 1"):
+            DensityMatrix(True, np.eye(2) / 2)
+
     def test_cut_validation(self):
         with pytest.raises(ValueError):
             Cut(frozenset({0}), frozenset({0, 1}))
