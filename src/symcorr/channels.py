@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import DensityMatrix
+from .qstate import DensityMatrix, check_unit_interval
 
 AMPLITUDE_DAMPING = "amplitude_damping"
 PHASE_DAMPING = "phase_damping"
@@ -31,10 +31,7 @@ class ChannelSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        rate = float(self.rate)
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"rate must lie in [0, 1], got {rate}")
-        object.__setattr__(self, "rate", rate)
+        object.__setattr__(self, "rate", check_unit_interval("rate", self.rate))
 
 
 def kraus_operators(spec: ChannelSpec) -> list:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -64,7 +64,7 @@ class SweepSpec:
         if not self.measures or any(m not in MEASURES for m in self.measures):
             raise ValueError(f"measures must be a nonempty subset of {MEASURES}")
         _fixed_params(self.family, self.alpha1)
-        object.__setattr__(self, "measures", tuple(self.measures))
+        object.__setattr__(self, "measures", tuple(dict.fromkeys(self.measures)))  # first occurrence kept
 
 
 def _build_state(family: str, n: int, value: float, alpha1, strict: bool) -> DensityMatrix:
@@ -97,7 +97,7 @@ def _compute_measures(rho: DensityMatrix, measures, mode: str, seed: int):
 
 
 def run_single(args) -> int:
-    measures = tuple(dict.fromkeys(args.measure))
+    measures = tuple(dict.fromkeys(args.measures))
     family, param = args.family, FAMILIES[args.family]
     value = getattr(args, param)
     if value is None:
@@ -132,21 +132,8 @@ def run_sweep(spec: SweepSpec, out_path: str):
     with open(out_path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    meta = {
-        "version": __version__,
-        "family": spec.family,
-        "n": spec.n,
-        "parameter": param,
-        "start": spec.start,
-        "stop": spec.stop,
-        "steps": spec.steps,
-        "alpha1": spec.alpha1,
-        "measures": list(spec.measures),
-        "mode": spec.mode,
-        "seed": spec.seed,
-        "angle_unit": "radians",
-        "points": points,
-    }
+    meta = {f.name: getattr(spec, f.name) for f in fields(SweepSpec) if f.name != "strict_alpha"}
+    meta.update(version=__version__, parameter=param, angle_unit="radians", points=points)
     with open(f"{out_path}.meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -161,28 +148,26 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
+        p.add_argument("family", choices=FAMILIES)
         p.add_argument("--n", type=int, required=True, help="number of qubits")
-        p.add_argument("--measure", action="append", choices=MEASURES, required=True)
+        p.add_argument("--measure", dest="measures", action="append", choices=MEASURES, required=True)
         p.add_argument("--mode", choices=MODES, default="symmetric")
         p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--alpha1", type=float)
         p.add_argument("--strict-alpha", action="store_true",
                        help="reject alpha1 above 1/sqrt(2) instead of warning")
 
     single = sub.add_parser("single", help="compute measures for one state")
-    single.add_argument("family", choices=FAMILIES)
     add_common(single)
     single.add_argument("--p0", type=float)
-    single.add_argument("--alpha1", type=float)
     single.add_argument("--lambda", type=float)
     single.add_argument("--gamma", type=float)
 
     sweep = sub.add_parser("sweep", help="sweep a state parameter, write CSV")
-    sweep.add_argument("family", choices=FAMILIES)
     add_common(sweep)
     sweep.add_argument("--start", type=float, required=True)
     sweep.add_argument("--stop", type=float, required=True)
     sweep.add_argument("--steps", type=int, required=True)
-    sweep.add_argument("--alpha1", type=float)
     sweep.add_argument("--out", required=True)
 
     bnd = sub.add_parser("bounds", help="print the nonlocality bounds for n qubits")
@@ -200,19 +185,7 @@ def main(argv=None) -> int:
         if args.command == "single":
             return run_single(args)
         if args.command == "sweep":
-            spec = SweepSpec(
-                family=args.family,
-                n=args.n,
-                start=args.start,
-                stop=args.stop,
-                steps=args.steps,
-                measures=tuple(dict.fromkeys(args.measure)),
-                alpha1=args.alpha1,
-                mode=args.mode,
-                seed=args.seed,
-                strict_alpha=args.strict_alpha,
-            )
-            run_sweep(spec, args.out)
+            run_sweep(SweepSpec(**{f.name: getattr(args, f.name) for f in fields(SweepSpec)}), args.out)
             return 0
         b = svetlichny_bounds(args.n)
         print(f"lhv                       {b.lhv:.12g}")

@@ -18,13 +18,23 @@ pair it reports into theta in (0, pi/2], phi in [0, pi).
 from __future__ import annotations
 
 import math
-from functools import reduce
 
 import numpy as np
 
 from .optim import THETA_GRID, THETA_STEP, fold_angles, grid_golden_min
-from .qstate import DensityMatrix, RotationAngles, check_mode, clamp_nonneg, rotation_matrix, shannon_entropy
-from .xstate import binomials, symmetric_view
+from .qstate import (
+    DensityMatrix,
+    RotationAngles,
+    binomials,
+    check_integer,
+    check_mode,
+    check_unit_interval,
+    clamp_nonneg,
+    product_basis,
+    rotation_matrix,
+    shannon_entropy,
+)
+from .xstate import symmetric_view
 
 _REFINE_TOL = 1e-7
 
@@ -33,7 +43,7 @@ def dephase_in_rotated_basis(rho: DensityMatrix, angles: RotationAngles) -> Dens
     """Zero all off-diagonal elements of `rho` in the rotated product basis."""
     if angles.n_qubits != rho.n_qubits:
         raise ValueError("angle count does not match the state's qubit count")
-    basis = reduce(np.kron, [rotation_matrix(t, p) for t, p in angles.pairs])
+    basis = product_basis(rotation_matrix(*np.transpose(angles.pairs)))
     probs = (basis.conj() * (rho.data @ basis)).sum(axis=0).real  # diag of basis^dag rho basis
     out = (basis * probs) @ basis.conj().T
     out = (out + out.conj().T) / 2.0
@@ -45,13 +55,15 @@ def global_discord_thermo_analytic(n: int, p0: float) -> float:
 
     Direct evaluation of
     p0^n log2 p0^n + p1^n log2 p1^n - (p0^n + p1^n) log2((p0^n + p1^n) / 2)
-    with the 0 * log 0 = 0 convention.
+    with the 0 * log 0 = 0 convention, for any integer n >= 2: no matrix is built, so n has no cap.
     """
-    p0 = float(p0)
-    if not 0.0 <= p0 <= 1.0:
-        raise ValueError(f"p0 must lie in [0, 1], got {p0}")
+    check_integer("n", n, minimum=2)
+    p0 = check_unit_interval("p0", p0)
     x = p0**n
     y = (1.0 - p0) ** n
+
+    if x + y == 0.0:  # both powers underflow (n past about 1070); the value, at most x + y, rounds to 0
+        return 0.0
 
     def plog(t: float) -> float:
         return t * math.log2(t) if t > 0.0 else 0.0

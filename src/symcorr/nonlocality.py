@@ -127,6 +127,8 @@ def correlation(rho: DensityMatrix, angles) -> float:
     theta = np.asarray(angles, dtype=float).reshape(-1)
     if theta.size != n:
         raise ValueError(f"need one angle per qubit ({n}), got {theta.size}")
+    if not np.isfinite(theta).all():
+        raise ValueError(f"correlation angles must be finite, got {angles!r}")
     spins, values = _antidiagonal_entries(rho)
     value = complex((values * np.exp(1j * (spins @ theta))).sum())
     if abs(value.imag) > _IMAG_TOL:
@@ -232,8 +234,7 @@ def bounds(n: int) -> SvetlichnyBounds:
     2 (four or five qubits) and 4 (six or seven); no threshold is reported
     below four qubits.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError(f"need an integer n >= 2, got {n!r}")
+    check_integer("n", n, minimum=2)
     try:
         quantum_max = _comb_max(n)
     except OverflowError:

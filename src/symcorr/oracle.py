@@ -29,6 +29,7 @@ from .qstate import (
     conditional_entropy,
     embed_operator,
     partial_trace,
+    product_basis,
     rotation_matrix,
     shannon_entropy,
     von_neumann_entropy,
@@ -119,9 +120,9 @@ def oracle_global_discord_full(
     """Global discord minimized over all 2n rotation angles; returns the angles too.
 
     Each point does a full dense change of basis, independent of the fast path's one outcome string per
-    weight: a left fold of broadcast outer products (the products of `reduce(np.kron, rots)`, entry for
-    entry), and one stacked product for the n single-qubit terms, summed in qubit order.  The objective
-    is bit-identical to the per-qubit `np.kron` form, so Powell takes the same path.
+    weight: `product_basis` of the n rotations, and one stacked product for the n single-qubit terms,
+    summed in qubit order.  The objective is bit-identical to the per-qubit `np.kron` form, so Powell
+    takes the same path.
     """
     check_qubit_count(rho.n_qubits, minimum=2)
     _check_cap(rho.n_qubits, config)
@@ -134,9 +135,7 @@ def oracle_global_discord_full(
 
     def objective(params: np.ndarray) -> float:
         rots = rotation_matrix(params[:n], params[n:])
-        b = rots[0]
-        for r in rots[1:]:
-            b = (b[:, None, :, None] * r[None, :, None, :]).reshape(2 * len(b), -1)
+        b = product_basis(rots)
         dense = shannon_entropy(np.diag(b.conj().T @ data @ b).real)
         single = shannon_entropy((rots.conj().swapaxes(1, 2) @ reduced_data @ rots).diagonal(0, 1, 2).real)
         return (dense - s_rho) - sum(e - s for e, s in zip(single.tolist(), s_reduced))
@@ -189,17 +188,15 @@ def oracle_channel_dilation(rho: DensityMatrix, spec: ChannelSpec) -> DensityMat
     return DensityMatrix(n, data)
 
 
-def oracle_lhv_bound(n: int, allow_large: bool = False) -> float:
+def oracle_lhv_bound(n: int) -> float:
     """Exhaustive maximum of the polynomial over deterministic +-1 strategies.
 
     All weights and partial sums are dyadic rationals, so the float result is
-    exact.  n = 5 must be enabled explicitly; larger n is refused.
+    exact.  The 4^n strategies are enumerated up to n = 5 (a few ms); larger n
+    raises QubitCapError.
     """
-    if n > 5 or (n == 5 and not allow_large):
-        raise QubitCapError(
-            "deterministic-strategy enumeration is capped at 4 qubits "
-            "(5 with allow_large=True)"
-        )
+    if n > 5:
+        raise QubitCapError(f"deterministic-strategy enumeration is capped at 5 qubits, got {n}")
     coefficients = svetlichny_expansion(n).coefficients
     strategies = np.array(
         [[1.0 - 2.0 * ((a >> b) & 1) for b in range(2 * n)] for a in range(4**n)]

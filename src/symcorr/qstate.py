@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -62,6 +63,14 @@ def check_qubit_count(n: int, minimum: int = 1) -> None:
         raise QubitCapError(f"dense representation is capped at {MAX_QUBITS} qubits, got {n}")
 
 
+def check_unit_interval(name: str, value) -> float:
+    """`value` as a float; ValueError unless it lies in [0, 1] (NaN fails too)."""
+    value = float(value)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+    return value
+
+
 def check_mode(mode: str) -> None:
     """Reject a search mode that is not one of MODES."""
     if mode not in MODES:
@@ -71,6 +80,14 @@ def check_mode(mode: str) -> None:
 def basis_bits(n: int) -> np.ndarray:
     """(2^n, n) table of 0/1 bits: row i holds the bits of basis index i, qubit 0 first."""
     return (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+
+
+@lru_cache(maxsize=None)
+def binomials(n: int) -> np.ndarray:
+    """Read-only (n+1, n+1) table of C(i, j), zero for j > i; exact in floats for n <= 12."""
+    table = np.array([[math.comb(i, j) for j in range(n + 1)] for i in range(n + 1)], dtype=float)
+    table.flags.writeable = False
+    return table
 
 
 def check_x_positive(populations: np.ndarray, corner: complex) -> None:
@@ -103,6 +120,17 @@ def rotation_matrix(theta, phi) -> np.ndarray:
     r[..., 1, 0] = -s * e.conj()
     r[..., 1, 1] = c
     return r
+
+
+def product_basis(factors: np.ndarray) -> np.ndarray:
+    """Kronecker product of stacked factors [..., q, rows, cols], qubit 0 first, leading axes batching; a
+    left fold of broadcast outer products, one multiply per entry in qubit order as in `reduce(np.kron)`."""
+    *batch, count, rows, cols = factors.shape
+    out = factors[..., 0, :, :]
+    for q in range(1, count):
+        out = out[..., :, None, :, None] * factors[..., q, None, :, None, :]
+        out = out.reshape(*batch, rows ** (q + 1), cols ** (q + 1))
+    return out
 
 
 @dataclass(frozen=True)
@@ -233,7 +261,7 @@ class DensityMatrix:
         if pops.imag.any():
             raise ValueError("populations must be real")
         pops = pops.real.copy()
-        tr = float(pops @ [math.comb(n_qubits, w) for w in range(n_qubits + 1)])
+        tr = float(pops @ binomials(n_qubits)[n_qubits])
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace {tr!r} is not 1 within tolerance 1e-10")
         check_x_positive(pops, corner)

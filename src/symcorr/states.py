@@ -15,34 +15,29 @@ import warnings
 
 import numpy as np
 
-from .qstate import DensityMatrix, PureState, basis_bits, check_qubit_count, rotation_matrix
+from .qstate import (
+    DensityMatrix,
+    PureState,
+    basis_bits,
+    check_qubit_count,
+    check_unit_interval,
+    rotation_matrix,
+)
 
 ALPHA_MAX_STRICT = 1.0 / math.sqrt(2.0)
 
 
-def _check_unit_interval(value: float, name: str) -> float:
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    return value
-
-
 def _check_alpha(alpha1: float, strict: bool) -> tuple[float, float]:
     alpha1 = float(alpha1)
-    if strict:
-        if not 0.0 <= alpha1 <= ALPHA_MAX_STRICT + 1e-12:
-            raise ValueError(
-                f"alpha1 must lie in [0, 1/sqrt(2)] in strict mode, got {alpha1}"
-            )
-    else:
-        if not 0.0 <= alpha1 <= 1.0:
-            raise ValueError(f"alpha1 must lie in [0, 1], got {alpha1}")
-        if alpha1 > ALPHA_MAX_STRICT + 1e-12:
-            warnings.warn(
-                f"alpha1={alpha1} exceeds 1/sqrt(2); accepted because swapping the "
-                "two amplitudes is a local relabeling",
-                stacklevel=3,
-            )
+    if strict and not 0.0 <= alpha1 <= ALPHA_MAX_STRICT + 1e-12:
+        raise ValueError(f"alpha1 must lie in [0, 1/sqrt(2)] in strict mode, got {alpha1}")
+    alpha1 = check_unit_interval("alpha1", alpha1)
+    if alpha1 > ALPHA_MAX_STRICT + 1e-12:
+        warnings.warn(
+            f"alpha1={alpha1} exceeds 1/sqrt(2); accepted because swapping the "
+            "two amplitudes is a local relabeling",
+            stacklevel=3,
+        )
     alpha2 = math.sqrt(max(0.0, 1.0 - alpha1 * alpha1))
     return alpha1, alpha2
 
@@ -59,7 +54,7 @@ def thermo_state(n: int, p0: float) -> DensityMatrix:
     alone keeps the coherence, which the exchange negates.
     """
     check_qubit_count(n, minimum=2)
-    p0 = _check_unit_interval(p0, "p0")
+    p0 = check_unit_interval("p0", p0)
     p1 = 1.0 - p0
     top = (p0**n + p1**n) / 2.0
     populations = [top] + [p0 ** (n - w) * p1**w for w in range(1, n)] + [top]
@@ -90,7 +85,7 @@ def ghz_ad_closed(n: int, alpha1: float, lam: float, strict: bool = False) -> De
     """
     check_qubit_count(n, minimum=2)
     alpha1, alpha2 = _check_alpha(alpha1, strict)
-    lam = _check_unit_interval(lam, "lambda")
+    lam = check_unit_interval("lambda", lam)
     populations = [alpha2**2 * (1.0 - lam) ** k * lam ** (n - k) for k in range(n + 1)]
     populations[0] += alpha1**2
     return DensityMatrix.from_x(n, populations, alpha1 * alpha2 * (1.0 - lam) ** (n / 2.0))
@@ -104,7 +99,7 @@ def ghz_pd_closed(n: int, alpha1: float, gamma: float, strict: bool = False) -> 
     """
     check_qubit_count(n, minimum=2)
     alpha1, alpha2 = _check_alpha(alpha1, strict)
-    gamma = _check_unit_interval(gamma, "gamma")
+    gamma = check_unit_interval("gamma", gamma)
     populations = [alpha1**2] + [0.0] * (n - 1) + [alpha2**2]
     return DensityMatrix.from_x(n, populations, alpha1 * alpha2 * (1.0 - gamma) ** (n / 2.0))
 

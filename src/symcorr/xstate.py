@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -21,9 +20,11 @@ from .qstate import (
     DensityMatrix,
     QubitCapError,
     basis_bits,
+    binomials,
     check_x_positive,
     conditional_entropy,
     partial_trace,
+    product_basis,
     require_permutation_symmetric,
     rotation_matrix,
     shannon_entropy,
@@ -33,14 +34,6 @@ from .states import symmetric_basis
 
 _PHI_GRID = 64
 _MAX_SCAN_QUBITS = 10
-
-
-@lru_cache(maxsize=None)
-def binomials(n: int) -> np.ndarray:
-    """(n+1, n+1) table of C(i, j), zero for j > i; exact in floats for n <= 12."""
-    table = np.array([[math.comb(i, j) for j in range(n + 1)] for i in range(n + 1)], dtype=float)
-    table.flags.writeable = False
-    return table
 
 
 def x_entropy(d, z):
@@ -151,13 +144,11 @@ class DenseSymmetric:
         n = self.rho.n_qubits
         if n > _MAX_SCAN_QUBITS:
             raise QubitCapError(f"a dense shared-angle scan is capped at {_MAX_SCAN_QUBITS} qubits, got {n}")
+        bit = (np.arange(n + 1)[:, None] > np.arange(n)).astype(int)  # [w, q]: qubit q is R|1> iff w > q
 
         def distribution(thetas, phis):
-            r = rotation_matrix(thetas, phis)[..., None, :, :]  # column b of R is R|b>
-            v = np.ones(r.shape[:-3] + (n + 1, 1), dtype=complex)
-            for q in range(n):  # qubit q is R|1> in the strings of weight w > q
-                column = np.where((np.arange(n + 1) > q)[:, None], r[..., :, 1], r[..., :, 0])
-                v = (v[..., :, None] * column[..., None, :]).reshape(v.shape[:-1] + (-1,))
+            rows = rotation_matrix(thetas, phis).swapaxes(-1, -2)  # row b is R|b>
+            v = product_basis(rows[..., bit, None, :])[..., 0, :]  # [..., w, 2^n]: row w is v_w
             flat = v.reshape(-1, 2**n)  # one matrix product for the whole batch
             return ((flat.conj() @ self.rho.data) * flat).sum(axis=-1).real.reshape(v.shape[:-1])
 

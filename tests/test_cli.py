@@ -122,6 +122,23 @@ def test_sidecar_metadata_contents(tmp_path):
     assert point["angles"]["genuine_discord"]["theta"] == pytest.approx(np.pi / 4, abs=1e-3)
 
 
+def test_repeated_measure_gives_one_column(tmp_path, capsys):
+    """`--measure genuine_discord` twice is one measure, in `single` and in `sweep` (`SweepSpec` keeps the
+    first occurrence of each)."""
+    twice = ["--measure", "genuine_discord", "--measure", "mutual_info", "--measure", "genuine_discord"]
+    assert main(["single", "thermo", "--n", "3", "--p0", "0.3", *twice]) == 0
+    printed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert printed == ["family", "n", "p0", "genuine_discord", "mutual_info"]
+    out = tmp_path / "twice.csv"
+    assert main(["sweep", "thermo", "--n", "3", "--start", "0.2", "--stop", "0.8", "--steps", "3", *twice,
+                 "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    assert header == ["p0", "genuine_discord", "mutual_info"] and all(len(row) == 3 for row in rows)
+    assert json.loads((tmp_path / "twice.csv.meta.json").read_text())["measures"] == header[1:]
+    spec = SweepSpec(family="thermo", n=3, start=0.2, stop=0.8, steps=3, measures=["mutual_info"] * 2)
+    assert spec.measures == ("mutual_info",)
+
+
 def test_usage_errors_exit_2(capsys):
     assert main(["single", "thermo", "--n", "3", "--measure", "genuine_discord"]) == 2
     assert main(["single", "thermo", "--n", "3", "--p0", "2.0",

@@ -92,6 +92,17 @@ class TestAnalyticFormula:
             assert global_discord_thermo_analytic(n, 0.0) == pytest.approx(1.0)
             assert global_discord_thermo_analytic(n, 0.5) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [1.5, 1, True, -1])
+    def test_qubit_count_must_be_an_integer_of_at_least_two(self, n):
+        """No global discord below two qubits, and no silent float or bool count; -1 used to divide by zero."""
+        with pytest.raises(ValueError, match="n must be an integer >= 2"):
+            global_discord_thermo_analytic(n, 0.0 if n == -1 else 0.3)
+
+    def test_no_cap_on_the_qubit_count(self):
+        """Past n of about 1070 both powers of p0 = 1/2 underflow to 0; the value is 0, not a math domain error."""
+        assert global_discord_thermo_analytic(1100, 0.5) == 0.0
+        assert 0.0 < global_discord_thermo_analytic(1100, 0.3) < 1e-150
+
     def test_matches_numeric_minimizer(self):
         for n, p0 in ((3, 0.8), (4, 0.3)):
             numeric, _ = global_discord(thermo_state(n, p0))

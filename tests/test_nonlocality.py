@@ -146,6 +146,12 @@ class TestCorrelation:
         with pytest.raises(ValueError, match="angle"):
             correlation(DensityMatrix.maximally_mixed(2), [0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angles_rejected(self, bad):
+        """As `SettingsTable` does: no nan result, and no numpy warning from exp(i inf)."""
+        with pytest.raises(ValueError, match="angles must be finite"):
+            correlation(thermo_state(3, 0.3), [bad, 0.0, 0.0])
+
 
 class TestSvetlichnyValue:
     def test_bell_state_at_optimal_settings(self):

@@ -203,8 +203,7 @@ class TestLhvBound:
         assert oracle_lhv_bound(n) == 1.0
 
     def test_large_n_gated(self):
+        """The 4^5 strategies take milliseconds, so n = 5 needs no flag; n = 6 is refused."""
+        assert oracle_lhv_bound(5) == 1.0
         with pytest.raises(QubitCapError):
-            oracle_lhv_bound(5)
-        assert oracle_lhv_bound(5, allow_large=True) == 1.0
-        with pytest.raises(QubitCapError):
-            oracle_lhv_bound(6, allow_large=True)
+            oracle_lhv_bound(6)

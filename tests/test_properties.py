@@ -48,6 +48,7 @@ from symcorr.qstate import (
     mutual_information,
     partial_trace,
     permutation_unitary,
+    product_basis,
     require_permutation_symmetric,
     shannon_entropy,
     von_neumann_entropy,
@@ -657,3 +658,52 @@ def test_global_discord_reports_canonical_angles(rho):
     assert set(angles.pairs) == {(theta, phi)}
     assert 0.0 < theta <= math.pi / 2.0 and 0.0 <= phi < math.pi and (phi == 0.0 or theta < math.pi / 2.0)
     assert abs(value - _dense_global_objective(rho, angles)) <= 1e-12
+
+
+@PROPS
+@given(seed=seeds, count=st.integers(1, 5), cols=st.sampled_from([2, 1]),
+       batch=st.lists(st.integers(1, 3), max_size=2), zeros=st.sampled_from([0.0, 0.3]))
+def test_product_basis_is_the_kron_fold(seed, count, cols, batch, zeros):
+    """Bit for bit `reduce(np.kron)` over the factor axis, at every batch index, exact zeros included."""
+    rng = np.random.default_rng(seed)
+    shape = (*batch, count, 2, cols)
+    factors = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    factors[rng.random(shape) < zeros] = 0.0
+    out = product_basis(factors)
+    assert out.shape == (*batch, 2**count, cols**count)
+    for index in np.ndindex(*batch):
+        assert np.array_equal(out[index], functools.reduce(np.kron, factors[index]))
+
+
+def _per_weight_fold(rho, thetas, phis):
+    """The dense weight distribution as it was written before `product_basis`: a running vector from 1,
+    multiplied by R|1> or R|0> qubit by qubit."""
+    n = rho.n_qubits
+    r = rotation_matrix(thetas, phis)[..., None, :, :]
+    v = np.ones(r.shape[:-3] + (n + 1, 1), dtype=complex)
+    for q in range(n):
+        column = np.where((np.arange(n + 1) > q)[:, None], r[..., :, 1], r[..., :, 0])
+        v = (v[..., :, None] * column[..., None, :]).reshape(v.shape[:-1] + (-1,))
+    flat = v.reshape(-1, 2**n)
+    return ((flat.conj() @ rho.data) * flat).sum(axis=-1).real.reshape(v.shape[:-1])
+
+
+@PROPS
+@given(rho=st.one_of(x_states(max_n=5), non_x_states), seed=seeds)
+def test_dense_weight_distribution_is_the_per_weight_fold(rho, seed):
+    angles = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, (2, 3, 2))
+    distribution = DenseSymmetric(rho).weight_distribution()(angles[..., 0], angles[..., 1])
+    assert np.array_equal(distribution, _per_weight_fold(rho, angles[..., 0], angles[..., 1]))
+
+
+@PROPS
+@given(rho=st.one_of(x_states(max_n=5), non_x_states), seed=seeds)
+def test_dephasing_is_the_kron_formula(rho, seed):
+    """`dephase_in_rotated_basis` as it was written with `reduce(np.kron)` over per-qubit rotations."""
+    rng = np.random.default_rng(seed)
+    angles = RotationAngles(tuple(zip(rng.uniform(0.0, math.pi, rho.n_qubits),
+                                      rng.uniform(0.0, 2.0 * math.pi, rho.n_qubits))))
+    basis = functools.reduce(np.kron, [rotation_matrix(t, p) for t, p in angles.pairs])
+    probs = (basis.conj() * (rho.data @ basis)).sum(axis=0).real
+    out = (basis * probs) @ basis.conj().T
+    assert np.array_equal(dephase_in_rotated_basis(rho, angles).data, (out + out.conj().T) / 2.0)

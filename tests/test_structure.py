@@ -1,8 +1,9 @@
 """Module structure: no private imports across modules, no lazy imports but the
 oracle's and no import cycle, one place that tells the structure classes apart,
 one discord angle search and none in `nonlocality`, a CLI that reads mutual
-information from the genuine report, one version number, and no source line
-wider than 109 columns."""
+information from the genuine report, one binomial table, one Kronecker fold,
+three readers of the X form, one version number, and no source line wider than
+109 columns."""
 
 import ast
 import importlib
@@ -93,7 +94,7 @@ def test_import_leaves_scipy_optimize_unloaded():
     """`oracle` pulls in scipy.optimize, which is why it is only imported inside functions.
 
     No other scipy module loads with `import symcorr` either: the X-state
-    kernels take their binomials from `math.comb`.
+    kernels take their binomials from `qstate.binomials`, built with `math.comb`.
     """
     code = (
         "import sys, symcorr; a = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')); "
@@ -160,3 +161,40 @@ def test_cli_takes_mutual_info_from_the_genuine_report():
              for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
     names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert names & {"mutual_information", "enumerate_cuts"} == set()
+
+
+def _uses(name):
+    """(module, innermost enclosing function or None) of each variable, attribute or imported name in src/
+    spelled `name`."""
+    found = []
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        spelled = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+                   else node.name if isinstance(node, ast.alias) else None)
+        if spelled == name:
+            found.append((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in sorted((SRC / "symcorr").glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem, None)
+    return found
+
+
+def test_binomials_come_from_one_table():
+    """`math.comb` is called only to fill `qstate.binomials`, the table every multiplicity is read from."""
+    assert set(_uses("comb")) == {("qstate", "binomials")}
+
+
+def test_no_module_imports_reduce():
+    """Kronecker products of per-qubit factors go through `qstate.product_basis`, not `reduce(np.kron)`."""
+    assert _uses("reduce") == []
+
+
+def test_x_parts_read_in_three_places():
+    """The X form is read by `qstate`, which holds it, by the structure-class dispatch, and by the
+    Svetlichny evaluator's corner entries; every other measure goes through `symmetric_view`."""
+    readers = {use for use in _uses("x_parts") if use[0] != "qstate"}
+    assert readers == {("xstate", "symmetric_view"), ("nonlocality", "_antidiagonal_entries")}
