@@ -30,9 +30,19 @@ MEASURES = ("genuine_discord", "genuine_classical", "global_discord", "svetlichn
 FAMILIES = {"thermo": "p0", "ghz_ad": "lambda", "ghz_pd": "gamma"}  # family -> swept parameter
 
 
+def _checked_measures(measures) -> tuple:
+    """`measures` with each measure kept once, at its first position; ValueError unless they form a
+    nonempty subset of MEASURES."""
+    if not measures or any(m not in MEASURES for m in measures):
+        raise ValueError(f"measures must be a nonempty subset of {MEASURES}")
+    return tuple(dict.fromkeys(measures))
+
+
 def _fixed_params(family: str, alpha1) -> dict:
-    """The parameters held fixed along `family`: alpha1 for the GHZ families, which require it."""
+    """The parameters held fixed along `family`: alpha1, which the GHZ families need and thermo refuses."""
     if family == "thermo":
+        if alpha1 is not None:
+            raise ValueError("family 'thermo' takes no alpha1")
         return {}
     if alpha1 is None:
         raise ValueError(f"family {family!r} requires alpha1")
@@ -50,7 +60,6 @@ class SweepSpec:
     alpha1: float = None
     mode: str = "symmetric"
     seed: int = 0
-    strict_alpha: bool = False
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -61,16 +70,14 @@ class SweepSpec:
             raise ValueError(
                 f"range [{self.start}, {self.stop}] outside the parameter domain [0, 1]"
             )
-        if not self.measures or any(m not in MEASURES for m in self.measures):
-            raise ValueError(f"measures must be a nonempty subset of {MEASURES}")
+        object.__setattr__(self, "measures", _checked_measures(self.measures))
         _fixed_params(self.family, self.alpha1)
-        object.__setattr__(self, "measures", tuple(dict.fromkeys(self.measures)))  # first occurrence kept
 
 
-def _build_state(family: str, n: int, value: float, alpha1, strict: bool) -> DensityMatrix:
+def _build_state(family: str, n: int, value: float, alpha1) -> DensityMatrix:
     if family == "thermo":
         return thermo_state(n, value)
-    return (ghz_ad_closed if family == "ghz_ad" else ghz_pd_closed)(n, alpha1, value, strict=strict)
+    return (ghz_ad_closed if family == "ghz_ad" else ghz_pd_closed)(n, alpha1, value)
 
 
 def _compute_measures(rho: DensityMatrix, measures, mode: str, seed: int):
@@ -97,13 +104,14 @@ def _compute_measures(rho: DensityMatrix, measures, mode: str, seed: int):
 
 
 def run_single(args) -> int:
-    measures = tuple(dict.fromkeys(args.measures))
+    measures = _checked_measures(args.measures)
     family, param = args.family, FAMILIES[args.family]
+    given = [p for p in FAMILIES.values() if getattr(args, p) is not None]
+    if given != [param]:
+        raise ValueError(f"{family} takes exactly one family parameter, --{param}; got {given}")
     value = getattr(args, param)
-    if value is None:
-        raise ValueError(f"{family} requires --{param}")
     fixed = _fixed_params(family, args.alpha1)
-    rho = _build_state(family, args.n, value, args.alpha1, args.strict_alpha)
+    rho = _build_state(family, args.n, value, args.alpha1)
     values, _ = _compute_measures(rho, measures, args.mode, args.seed)
     rows = [("family", family), ("n", str(args.n)), (param, f"{value:.12g}")]
     rows += [(k, f"{v:.12g}") for k, v in fixed.items()]
@@ -120,7 +128,7 @@ def run_sweep(spec: SweepSpec, out_path: str):
     grid = np.linspace(spec.start, spec.stop, spec.steps)
     rows, points = [], []
     for value in grid:
-        rho = _build_state(spec.family, spec.n, float(value), spec.alpha1, spec.strict_alpha)
+        rho = _build_state(spec.family, spec.n, float(value), spec.alpha1)
         values, angles = _compute_measures(rho, spec.measures, spec.mode, spec.seed)
         rows.append((float(value), [values[m] for m in spec.measures]))
         points.append({param: float(value), "angles": angles})
@@ -132,7 +140,7 @@ def run_sweep(spec: SweepSpec, out_path: str):
     with open(out_path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    meta = {f.name: getattr(spec, f.name) for f in fields(SweepSpec) if f.name != "strict_alpha"}
+    meta = {f.name: getattr(spec, f.name) for f in fields(SweepSpec)}
     meta.update(version=__version__, parameter=param, angle_unit="radians", points=points)
     with open(f"{out_path}.meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -153,15 +161,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--measure", dest="measures", action="append", choices=MEASURES, required=True)
         p.add_argument("--mode", choices=MODES, default="symmetric")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--alpha1", type=float)
-        p.add_argument("--strict-alpha", action="store_true",
-                       help="reject alpha1 above 1/sqrt(2) instead of warning")
+        p.add_argument("--alpha1", type=float, help="GHZ weight, for ghz_ad and ghz_pd only")
 
     single = sub.add_parser("single", help="compute measures for one state")
     add_common(single)
-    single.add_argument("--p0", type=float)
-    single.add_argument("--lambda", type=float)
-    single.add_argument("--gamma", type=float)
+    for family, param in FAMILIES.items():
+        single.add_argument(f"--{param}", type=float, help=f"the {family} parameter")
 
     sweep = sub.add_parser("sweep", help="sweep a state parameter, write CSV")
     add_common(sweep)

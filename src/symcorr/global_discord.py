@@ -59,6 +59,7 @@ def global_discord_thermo_analytic(n: int, p0: float) -> float:
     """
     check_integer("n", n, minimum=2)
     p0 = check_unit_interval("p0", p0)
+    n = min(n, 2**64)  # past 2^64 every power of a p0 in [0, 1] is exactly 0 or 1, and n must fit a float
     x = p0**n
     y = (1.0 - p0) ** n
 

@@ -64,11 +64,14 @@ def check_qubit_count(n: int, minimum: int = 1) -> None:
 
 
 def check_unit_interval(name: str, value) -> float:
-    """`value` as a float; ValueError unless it lies in [0, 1] (NaN fails too)."""
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
+    """`value` as a float; ValueError unless it is a real number in [0, 1] (NaN fails too)."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not 0.0 <= number <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    return value
+    return number
 
 
 def check_mode(mode: str) -> None:
@@ -486,15 +489,8 @@ def permutation_unitary(n_qubits: int, perm: Sequence[int]) -> np.ndarray:
     perm = [int(p) for p in perm]
     if sorted(perm) != list(range(n_qubits)):
         raise ValueError(f"{perm} is not a permutation of 0..{n_qubits - 1}")
-    dim = 2**n_qubits
-    u = np.zeros((dim, dim))
-    for src in range(dim):
-        dst = 0
-        for i in range(n_qubits):
-            bit = (src >> (n_qubits - 1 - i)) & 1
-            dst |= bit << (n_qubits - 1 - perm[i])
-        u[dst, src] = 1.0
-    return u
+    weights = 2 ** (n_qubits - 1 - np.array(perm, dtype=int))  # bit i of an index moves to position perm[i]
+    return np.eye(2**n_qubits)[:, basis_bits(n_qubits) @ weights]  # a 1 at (dst, src)
 
 
 def is_invariant_under(

@@ -24,15 +24,10 @@ from .qstate import (
     rotation_matrix,
 )
 
-ALPHA_MAX_STRICT = 1.0 / math.sqrt(2.0)
 
-
-def _check_alpha(alpha1: float, strict: bool) -> tuple[float, float]:
-    alpha1 = float(alpha1)
-    if strict and not 0.0 <= alpha1 <= ALPHA_MAX_STRICT + 1e-12:
-        raise ValueError(f"alpha1 must lie in [0, 1/sqrt(2)] in strict mode, got {alpha1}")
+def _check_alpha(alpha1: float) -> tuple[float, float]:
     alpha1 = check_unit_interval("alpha1", alpha1)
-    if alpha1 > ALPHA_MAX_STRICT + 1e-12:
+    if alpha1 > 1.0 / math.sqrt(2.0) + 1e-12:  # past the canonical domain [0, 1/sqrt(2)]
         warnings.warn(
             f"alpha1={alpha1} exceeds 1/sqrt(2); accepted because swapping the "
             "two amplitudes is a local relabeling",
@@ -61,22 +56,21 @@ def thermo_state(n: int, p0: float) -> DensityMatrix:
     return DensityMatrix.from_x(n, populations, (p0**n - p1**n) / 2.0)
 
 
-def ghz_state(n: int, alpha1: float, strict: bool = False) -> PureState:
+def ghz_state(n: int, alpha1: float) -> PureState:
     """Weighted GHZ state alpha1|0...0> + alpha2|1...1>, alpha2 = sqrt(1 - alpha1^2).
 
     The canonical parameter domain is alpha1 in [0, 1/sqrt(2)]; larger values up
-    to 1 are accepted with a warning (they only relabel the two amplitudes)
-    unless `strict` is set.
+    to 1 are accepted with a warning (they only relabel the two amplitudes).
     """
     check_qubit_count(n, minimum=2)
-    alpha1, alpha2 = _check_alpha(alpha1, strict)
+    alpha1, alpha2 = _check_alpha(alpha1)
     vec = np.zeros(2**n, dtype=complex)
     vec[0] = alpha1
     vec[-1] = alpha2
     return PureState(n, vec)
 
 
-def ghz_ad_closed(n: int, alpha1: float, lam: float, strict: bool = False) -> DensityMatrix:
+def ghz_ad_closed(n: int, alpha1: float, lam: float) -> DensityMatrix:
     """Closed form of the weighted GHZ state after per-qubit amplitude damping.
 
     Populations: alpha1^2 + alpha2^2 lam^n on |0...0>, alpha2^2 (1-lam)^n on
@@ -84,21 +78,21 @@ def ghz_ad_closed(n: int, alpha1: float, lam: float, strict: bool = False) -> De
     |1>.  The extremal coherence is damped to alpha1 alpha2 (1-lam)^(n/2).
     """
     check_qubit_count(n, minimum=2)
-    alpha1, alpha2 = _check_alpha(alpha1, strict)
+    alpha1, alpha2 = _check_alpha(alpha1)
     lam = check_unit_interval("lambda", lam)
     populations = [alpha2**2 * (1.0 - lam) ** k * lam ** (n - k) for k in range(n + 1)]
     populations[0] += alpha1**2
     return DensityMatrix.from_x(n, populations, alpha1 * alpha2 * (1.0 - lam) ** (n / 2.0))
 
 
-def ghz_pd_closed(n: int, alpha1: float, gamma: float, strict: bool = False) -> DensityMatrix:
+def ghz_pd_closed(n: int, alpha1: float, gamma: float) -> DensityMatrix:
     """Closed form of the weighted GHZ state after per-qubit phase damping.
 
     Populations are untouched; the extremal coherence is damped by
     (1-gamma)^(n/2).  The state has rank at most 2 for every gamma.
     """
     check_qubit_count(n, minimum=2)
-    alpha1, alpha2 = _check_alpha(alpha1, strict)
+    alpha1, alpha2 = _check_alpha(alpha1)
     gamma = check_unit_interval("gamma", gamma)
     populations = [alpha1**2] + [0.0] * (n - 1) + [alpha2**2]
     return DensityMatrix.from_x(n, populations, alpha1 * alpha2 * (1.0 - gamma) ** (n / 2.0))

@@ -31,6 +31,9 @@ def test_spec_validation():
         ChannelSpec("depolarizing", 0.5)
     with pytest.raises(ValueError, match="rate"):
         ChannelSpec(AMPLITUDE_DAMPING, 1.5)
+    for bad in (None, [0.3], 1 + 0j):
+        with pytest.raises(ValueError, match=r"rate must lie in \[0, 1\], got"):
+            ChannelSpec(PHASE_DAMPING, bad)
 
 
 def test_kraus_completeness():

@@ -149,6 +149,30 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_family_flags_are_checked_in_single_and_sweep(tmp_path, capsys):
+    """`--strict-alpha` is gone, `thermo` refuses `--alpha1` in both commands, and `single` takes only its
+    own family's parameter flag, so no flag is accepted and then ignored."""
+    single = ["single", "thermo", "--n", "3", "--p0", "0.3", "--measure", "mutual_info"]
+    assert main(single) == 0
+    assert main(single + ["--lambda", "0.9"]) == 2
+    assert main(single + ["--alpha1", "0.5"]) == 2
+    assert main(single + ["--lambda", "0.9", "--alpha1", "0.5"]) == 2
+    assert main(["single", "ghz_pd", "--n", "3", "--alpha1", "0.6", "--gamma", "0.2", "--p0", "0.3",
+                 "--measure", "mutual_info"]) == 2
+    ghz = ["single", "ghz_ad", "--n", "3", "--alpha1", "0.6", "--lambda", "0.2", "--measure", "mutual_info"]
+    assert main(ghz) == 0
+    assert main(ghz + ["--strict-alpha"]) == 2
+    out = tmp_path / "thermo.csv"
+    sweep = ["sweep", "thermo", "--n", "3", "--start", "0.2", "--stop", "0.8", "--steps", "3",
+             "--measure", "mutual_info", "--out", str(out)]
+    assert main(sweep + ["--alpha1", "0.5"]) == 2
+    assert main(sweep + ["--strict-alpha"]) == 2
+    assert not out.exists() and not (tmp_path / "thermo.csv.meta.json").exists()
+    assert "takes no alpha1" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="takes no alpha1"):
+        SweepSpec(family="thermo", n=3, start=0.2, stop=0.8, steps=3, measures=("mutual_info",), alpha1=0.5)
+
+
 def test_negative_svetlichny_seed_exits_2(capsys):
     args = ["single", "ghz_ad", "--n", "3", "--alpha1", "0.7071067811865476", "--lambda", "0.2",
             "--measure", "svetlichny"]

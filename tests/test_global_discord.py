@@ -102,6 +102,9 @@ class TestAnalyticFormula:
         """Past n of about 1070 both powers of p0 = 1/2 underflow to 0; the value is 0, not a math domain error."""
         assert global_discord_thermo_analytic(1100, 0.5) == 0.0
         assert 0.0 < global_discord_thermo_analytic(1100, 0.3) < 1e-150
+        # 10**400 does not fit a float: the limit, 0 inside (0, 1) and 1 at either end
+        assert global_discord_thermo_analytic(10**400, 0.3) == 0.0
+        assert global_discord_thermo_analytic(10**400, 0.0) == global_discord_thermo_analytic(10**400, 1.0) == 1.0
 
     def test_matches_numeric_minimizer(self):
         for n, p0 in ((3, 0.8), (4, 0.3)):

@@ -1,5 +1,7 @@
 """Density-operator core: construction, reductions, entropies, measurement."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.linalg import logm
@@ -330,6 +332,17 @@ class TestSymmetryChecks:
         flip = np.array([[0, 1], [1, 0]], dtype=complex)
         assert not is_invariant_under(rho, flip, qubits=[0])
         assert is_invariant_under(thermo_state(3, 0.5), flip, qubits=[0])
+
+    def test_permutation_unitary_matches_the_bit_loop(self):
+        for n in range(1, 6):
+            for perm in itertools.permutations(range(n)):
+                expected = np.zeros((2**n, 2**n))
+                for src in range(2**n):
+                    dst = sum(((src >> (n - 1 - i)) & 1) << (n - 1 - perm[i]) for i in range(n))
+                    expected[dst, src] = 1.0
+                assert np.array_equal(permutation_unitary(n, perm), expected), perm
+        with pytest.raises(ValueError, match="not a permutation"):
+            permutation_unitary(3, [0, 0, 1])
 
     def test_non_unitary_rejected(self):
         rho = DensityMatrix.maximally_mixed(1)

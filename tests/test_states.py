@@ -1,5 +1,7 @@
 """State family constructors and symmetry machinery."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -87,11 +89,26 @@ class TestGhzFamilies:
         psi = ghz_state(3, 0.0)
         assert psi.amplitudes[-1] == pytest.approx(1.0)
 
-    def test_large_alpha_warns_by_default_and_strict_rejects(self):
-        with pytest.warns(UserWarning, match="relabeling"):
-            ghz_state(2, FIG3B_ALPHA)
-        with pytest.raises(ValueError, match="strict"):
-            ghz_state(2, FIG3B_ALPHA, strict=True)
+    def test_large_alpha_warns_in_every_ghz_family(self):
+        """alpha1 above 1/sqrt(2), the Fig. 3b weight among them, is accepted by all three GHZ constructors
+        with the same warning; 1/sqrt(2) itself is silent, and a weight outside [0, 1] is refused."""
+        for make in (ghz_state, lambda n, a: ghz_ad_closed(n, a, 0.2), lambda n, a: ghz_pd_closed(n, a, 0.2)):
+            with pytest.warns(UserWarning, match="relabeling"):
+                make(2, FIG3B_ALPHA)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                make(2, SQ2)
+            for outside in (-0.1, 1.1):
+                with pytest.raises(ValueError, match=r"alpha1 must lie in \[0, 1\]"):
+                    make(2, outside)
+
+    @pytest.mark.parametrize("bad", [None, [0.3], 1 + 0j])
+    def test_non_real_parameters_raise_value_error(self, bad):
+        for make in (lambda: thermo_state(3, bad), lambda: ghz_state(3, bad), lambda: ghz_ad_closed(3, bad, 0.2),
+                     lambda: ghz_ad_closed(3, 0.6, bad), lambda: ghz_pd_closed(3, bad, 0.2),
+                     lambda: ghz_pd_closed(3, 0.6, bad)):
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\], got"):
+                make()
 
     def test_ad_closed_endpoints(self):
         psi = ghz_state(3, 0.6)

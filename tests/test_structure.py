@@ -2,10 +2,12 @@
 oracle's and no import cycle, one place that tells the structure classes apart,
 one discord angle search and none in `nonlocality`, a CLI that reads mutual
 information from the genuine report, one binomial table, one Kronecker fold,
-three readers of the X form, one version number, and no source line wider than
-109 columns."""
+three readers of the X form, one version number, a `sweep` command whose every
+flag lands in `SweepSpec` or names the output, no `strict` parameter, and no
+source line wider than 109 columns."""
 
 import ast
+import dataclasses
 import importlib
 import os
 import subprocess
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import symcorr
+import symcorr.cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -198,3 +201,21 @@ def test_x_parts_read_in_three_places():
     Svetlichny evaluator's corner entries; every other measure goes through `symmetric_view`."""
     readers = {use for use in _uses("x_parts") if use[0] != "qstate"}
     assert readers == {("xstate", "symmetric_view"), ("nonlocality", "_antidiagonal_entries")}
+
+
+def test_every_sweep_flag_lands_in_the_spec():
+    """The `sweep` parser's destinations are `SweepSpec`'s fields plus `out` and `command`, so no flag can
+    bypass the spec, and with it the sidecar."""
+    args = symcorr.cli._build_parser().parse_args(
+        ["sweep", "thermo", "--n", "3", "--start", "0", "--stop", "1", "--steps", "2",
+         "--measure", "mutual_info", "--out", "unused.csv"])
+    assert set(vars(args)) == {f.name for f in dataclasses.fields(symcorr.cli.SweepSpec)} | {"out", "command"}
+
+
+def test_no_function_takes_a_strict_parameter():
+    found = [f"{path.name}:{node.lineno} {node.name}"
+             for path in sorted((SRC / "symcorr").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+             and "strict" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}]
+    assert found == []
