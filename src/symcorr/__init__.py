@@ -5,7 +5,7 @@ generalized Svetlichny nonlocality, computed with symmetry-reduced
 measurement optimizations and validated by brute-force oracles.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .channels import ChannelSpec, amplitude_damp, apply_local_channel, kraus_operators, phase_damp
 from .genuine import (

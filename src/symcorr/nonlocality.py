@@ -102,13 +102,12 @@ def svetlichny_expansion(n: int) -> SvetlichnyExpansion:
 def _antidiagonal_entries(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     """(spins, values) of the nonzero elements rho[~s, s] connecting a basis state s to its full bit flip:
     row j of `spins` holds sigma_q = 2 s_q - 1 of entry `values[j]`.  A state held in X form gives its
-    corners (c*, c) straight from its parts, with no 2^n vector."""
+    `XState.corner_pair` (c*, c), with no 2^n vector."""
     n = rho.n_qubits
     if rho.x_parts is not None:
-        corner = rho.x_parts[1]
-        values = np.array([corner.conjugate() if corner.imag else corner, corner])  # as `x_matrix` has it
+        values = np.array(rho.x_parts.corner_pair)
         spins = np.array([[-1.0] * n, [1.0] * n])
-        return (spins, values) if corner else (spins[:0], values[:0])
+        return (spins, values) if rho.x_parts.corner else (spins[:0], values[:0])
     dim = rho.dim
     idx = np.arange(dim)
     anti = rho.data[dim - 1 - idx, idx]

@@ -8,7 +8,6 @@ import numpy as np
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SEAM_TOL = 1e-6
-_GRID_CHUNK = 256  # grid points per objective call, which bounds a dense objective's intermediates
 
 THETA_STEP = math.pi / 128.0
 THETA_GRID = THETA_STEP * np.arange(1.0, 65.0)  # 64 angles on (0, pi/2], the period of a projector set
@@ -56,11 +55,11 @@ def golden_section_min(fn, lo: float, hi: float, tol: float = 1e-6) -> tuple[flo
 def grid_golden_min(fn, axes, steps, tol: float = 1e-6) -> tuple[list, float]:
     """(point as a list of floats, value) minimizing `fn`, which maps a (d, N) array of points to N values.
 
-    The tensor grid of `axes` goes in calls of at most 256 points.  Each axis with a nonzero step is then
-    refined by golden section on [x - step, x + step], unclipped, so a periodic `fn` needs no wrap; two such
-    axes take three sweeps, each step an eighth of the last.  The grid point is kept if it is lower."""
+    The tensor grid of `axes` goes in one call.  Each axis with a nonzero step is then refined by golden
+    section on [x - step, x + step], unclipped, so a periodic `fn` needs no wrap; two such axes take three
+    sweeps, each step an eighth of the last.  The grid point is kept if it is lower."""
     grid = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")])
-    values = np.concatenate([fn(grid[:, i : i + _GRID_CHUNK]) for i in range(0, grid.shape[1], _GRID_CHUNK)])
+    values = fn(grid)
     best = int(np.argmin(values))
     x, fx, widths = grid[:, best].copy(), float(values[best]), np.array(steps, dtype=float)
     free = np.flatnonzero(widths)

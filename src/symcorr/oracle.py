@@ -5,7 +5,7 @@ minimized over fully general projective bases (Givens-parametrized unitaries),
 global discord over all 2n rotation angles, channels are realized through an
 explicit system-environment isometry, and the hidden-variable bound is taken
 over every deterministic strategy.  Everything is deterministic given the
-configured seed.  Cost grows quickly, so the default cap is four qubits.
+configured seed.  Cost grows quickly, so the searches are capped at four qubits.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .qstate import (
 
 _TWO_PI = 2.0 * math.pi
 _POWELL_OPTIONS = {"xtol": 1e-7, "ftol": 1e-12, "maxfev": 40000}
+MAX_ORACLE_QUBITS = 4
 
 
 @dataclass(frozen=True)
@@ -44,24 +45,18 @@ class OracleConfig:
     restarts: int = 8
     grid_density: int = 32
     seed: int = 2026
-    max_qubits: int = 4
 
     def __post_init__(self):
-        for name, minimum in (("restarts", 1), ("grid_density", 1), ("seed", 0), ("max_qubits", 2)):
+        for name, minimum in (("restarts", 1), ("grid_density", 1), ("seed", 0)):
             check_integer(name, getattr(self, name), minimum)
-        if self.max_qubits > 5:
-            raise ValueError("oracle searches are capped at 5 qubits")
 
 
 DEFAULT_CONFIG = OracleConfig()
 
 
-def _check_cap(n: int, config: OracleConfig) -> None:
-    if n > config.max_qubits:
-        raise QubitCapError(
-            f"oracle is capped at {config.max_qubits} qubits, got {n}; "
-            "raise max_qubits (at most 5) explicitly to override"
-        )
+def _check_cap(n: int) -> None:
+    if n > MAX_ORACLE_QUBITS:
+        raise QubitCapError(f"oracle is capped at {MAX_ORACLE_QUBITS} qubits, got {n}")
 
 
 def _restart_seeds(config: OracleConfig) -> list:
@@ -102,7 +97,7 @@ def _givens_unitary(dim: int, params: np.ndarray) -> np.ndarray:
 
 def oracle_bipartite_discord(rho: DensityMatrix, cut: Cut, config: OracleConfig = DEFAULT_CONFIG) -> float:
     """Discord across `cut` minimized over general orthonormal measured bases."""
-    _check_cap(rho.n_qubits, config)
+    _check_cap(rho.n_qubits)
     dim = 2 ** len(cut.measured)
 
     def ce(params: np.ndarray) -> float:
@@ -125,7 +120,7 @@ def oracle_global_discord_full(
     takes the same path.
     """
     check_qubit_count(rho.n_qubits, minimum=2)
-    _check_cap(rho.n_qubits, config)
+    _check_cap(rho.n_qubits)
     n = rho.n_qubits
     s_rho = von_neumann_entropy(rho)
     reduced = [partial_trace(rho, {j}) for j in range(n)]

@@ -1,4 +1,4 @@
-"""Dense density-operator core for multi-qubit states.
+"""Dense density-operator core for multi-qubit states, and the X form the state families are built from.
 
 Conventions, fixed package-wide:
 
@@ -8,8 +8,9 @@ Conventions, fixed package-wide:
 * Every value is immutable: constructors copy their input and mark the wrapped
   arrays read-only, so states can be shared freely across threads.  A state
   built from its X form (`DensityMatrix.from_x`, which the state families use)
-  builds its dense matrix once, on the first read of `data`, under a lock;
-  the build is idempotent, and every later read returns the same array.
+  holds it as one `XState` and builds its dense matrix once, on the first read
+  of `data`, under a lock; the build is idempotent, and every later read
+  returns the same array.
 
 Matrices are dense, with a practical cap of MAX_QUBITS qubits; a state built
 from its X form is dense only once something reads its matrix.
@@ -64,13 +65,13 @@ def check_qubit_count(n: int, minimum: int = 1) -> None:
 
 
 def check_unit_interval(name: str, value) -> float:
-    """`value` as a float; ValueError unless it is a real number in [0, 1] (NaN fails too)."""
+    """`value` as a float; ValueError unless it is a real number in [0, 1]: NaN, bools and strings fail."""
     try:
-        number = float(value)
+        number = math.nan if isinstance(value, (bool, np.bool_, str, bytes)) else float(value)
     except (TypeError, ValueError, OverflowError):
         number = math.nan
     if not 0.0 <= number <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
     return number
 
 
@@ -91,25 +92,6 @@ def binomials(n: int) -> np.ndarray:
     table = np.array([[math.comb(i, j) for j in range(n + 1)] for i in range(n + 1)], dtype=float)
     table.flags.writeable = False
     return table
-
-
-def check_x_positive(populations: np.ndarray, corner: complex) -> None:
-    """Raise ValueError unless an X form is positive semidefinite, in O(n): every population, and the
-    smaller eigenvalue of the corner block [[p_0, c], [c*, p_n]], at least EIGENVALUE_FLOOR."""
-    p0, pn = populations[0], populations[-1]
-    lowest = min(populations.min(), (p0 + pn) / 2.0 - math.hypot((p0 - pn) / 2.0, abs(corner)))
-    if not lowest >= EIGENVALUE_FLOOR:
-        raise ValueError(f"eigenvalue {lowest} below {EIGENVALUE_FLOOR}: state is not positive semidefinite")
-
-
-def x_matrix(n: int, populations: np.ndarray, corner: complex) -> np.ndarray:
-    """Read-only dense matrix of an X form: `populations[w]` at every index with w excitations, `corner` at
-    [0, 2^n - 1] and its conjugate at [2^n - 1, 0]; O(4^n)."""
-    mat = np.diag(populations.astype(complex)[basis_bits(n).sum(axis=1)])
-    mat[0, -1] = corner
-    mat[-1, 0] = corner.conjugate() if corner.imag else corner  # a real corner keeps its +0j
-    mat.flags.writeable = False
-    return mat
 
 
 def rotation_matrix(theta, phi) -> np.ndarray:
@@ -204,6 +186,109 @@ class PureState:
         return DensityMatrix(self.n_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
+def x_entropy(d, z):
+    """Entropy of the m-qubit X state with populations d[..., w] and corner z; leading axes batch."""
+    m = d.shape[-1] - 1
+    mean = (d[..., 0] + d[..., m]) / 2.0
+    r = np.hypot((d[..., 0] - d[..., m]) / 2.0, np.abs(z))
+    spectrum = np.concatenate([(mean + r)[..., None], (mean - r)[..., None], d[..., 1:m]], axis=-1)
+    return shannon_entropy(spectrum[..., None]) @ np.concatenate([[1.0, 1.0], binomials(m)[m, 1:m]])
+
+
+def _branch_sum(d, z, counts):
+    """Sum over the branch axis -1 of counts b S(branch / b), populations d[..., i, :], corner z[..., i];
+    leading axes batch, and branches below b = 1e-12 add nothing."""
+    m = d.shape[-1] - 1
+    b = d @ binomials(m)[m]
+    keep = b >= PROBABILITY_FLOOR
+    safe = np.where(keep, b, 1.0)
+    return (np.where(keep, counts * b, 0.0) * x_entropy(d / safe[..., None], z / safe)).sum(axis=-1)
+
+
+@dataclass(frozen=True)
+class XState:
+    """Populations p_0..p_n by excitation count and the corner c = rho[0...0, 1...1], n >= 1; each spectrum
+    is the populations, with binomial multiplicities, plus at most one 2 x 2 block (Yu & Eberly, QIC 7, 459
+    (2007)).  Construction checks in O(n) that every population, and the smaller eigenvalue of
+    [[p_0, c], [c*, p_n]], is at least EIGENVALUE_FLOOR, and marks the populations read-only, uncopied."""
+
+    populations: np.ndarray
+    corner: complex
+    phi_step = 0.0  # phi enters only through cos(n phi - arg c), in which the entropy is concave
+
+    def __post_init__(self):
+        p0, pn = self.populations[0], self.populations[-1]
+        lowest = min(self.populations.min(), (p0 + pn) / 2.0 - math.hypot((p0 - pn) / 2.0, abs(self.corner)))
+        if not lowest >= EIGENVALUE_FLOOR:
+            raise ValueError(
+                f"eigenvalue {lowest} below {EIGENVALUE_FLOOR}: state is not positive semidefinite")
+        self.populations.flags.writeable = False
+
+    @property
+    def corner_pair(self) -> tuple:
+        """(rho[1...1, 0...0], rho[0...0, 1...1]) = (c*, c); a real corner keeps its +0j in both."""
+        corner = self.corner
+        return (corner.conjugate() if corner.imag else corner), corner
+
+    def matrix(self) -> np.ndarray:
+        """Read-only dense matrix: `populations[w]` at every index with w excitations, and `corner_pair` at
+        [2^n - 1, 0] and [0, 2^n - 1]; O(4^n)."""
+        mat = np.diag(self.populations.astype(complex)[basis_bits(self.populations.size - 1).sum(axis=1)])
+        mat[-1, 0], mat[0, -1] = self.corner_pair
+        mat.flags.writeable = False
+        return mat
+
+    @property
+    def phis(self) -> np.ndarray:
+        """arg c / n and (arg c + pi) / n, the two ends of cos(n phi - arg c); exact, so `phi_step` is 0."""
+        return (np.angle(self.corner) + np.array([0.0, math.pi])) / (self.populations.size - 1)
+
+    def entropy(self) -> float:
+        return float(x_entropy(self.populations, self.corner))
+
+    def block(self, k: int) -> XState:
+        """Any k-qubit block, 0 < k < n: diagonal, populations summed over the traced qubits' counts."""
+        m = self.populations.size - 1 - k
+        return XState(np.correlate(self.populations, binomials(m)[m], "valid"), 0.0)
+
+    def conditional_entropy(self, k: int):
+        """ce over theta arrays of measuring a k-qubit block in `symmetric_basis(k, theta)`.
+
+        Each weight-j sector probe, 0 < j < k, leaves populations p_{j+w} at every theta; the rotated
+        extremal pair leaves cos^2 p_w + sin^2 p_{k+w} and sin^2 p_w + cos^2 p_{k+w}, corners +-cos sin c.
+        """
+        windows = np.lib.stride_tricks.sliding_window_view(self.populations, self.populations.size - k)
+        fixed = _branch_sum(windows[1:k], np.zeros(k - 1), binomials(k)[k, 1:k])
+        lo, hi = windows[0], windows[k]
+
+        def ce(thetas):
+            c, s = np.cos(thetas)[..., None], np.sin(thetas)[..., None]
+            d = np.stack([c * c * lo + s * s * hi, s * s * lo + c * c * hi], axis=-2)
+            return fixed + _branch_sum(d, np.array([1.0, -1.0]) * (c * s * self.corner), np.ones(2))
+
+        return ce
+
+    def weight_distribution(self):
+        """Outcome probability per weight w after dephasing in R(theta, phi), a function of angle arrays.
+
+        sum_{a,b} C(n-w, a) C(w, b) p_{a+b} sin^{2(a+w-b)} cos^{2(n-w-a+b)} (tabulated over w, a+w-b)
+        + 2 Re(c e^{-i n phi}) (-1)^{n-w} (cos sin)^n.
+        """
+        n = self.populations.size - 1
+        w, a, b = np.ogrid[: n + 1, : n + 1, : n + 1]  # C(n-w, a) C(w, b) vanishes off the sum
+        terms = binomials(n)[n - w, a] * binomials(n)[w, b] * self.populations[np.minimum(a + b, n)]
+        table = np.zeros((n + 1, n + 1))
+        np.add.at(table, (np.broadcast_to(w, terms.shape), np.clip(a + w - b, 0, n)), terms)
+        e = np.arange(n + 1)
+
+        def distribution(thetas, phis):
+            c, s = np.cos(thetas)[..., None], np.sin(thetas)[..., None]
+            corner = 2.0 * (self.corner * np.exp(-1j * n * phis[..., None])).real * (c * s) ** n
+            return (s ** (2 * e) * c ** (2 * (n - e))) @ table.T + corner * (-1.0) ** (n - e)
+
+        return distribution
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Density operator of `n_qubits` qubits as a dense 2^n x 2^n matrix.
@@ -212,12 +297,12 @@ class DensityMatrix:
     (1e-10).  Positivity is enforced lazily: `eigenvalues` rejects any
     eigenvalue below -1e-9 and clamps the remaining numerical noise to [0, 1].
     A state made by `from_x` is checked in O(n), positivity included, holds
-    its X form in `x_parts` and builds `data` on the first read.
+    its `XState` in `x_parts` and builds `data` from it on the first read.
     """
 
     n_qubits: int
     data: np.ndarray
-    x_parts = None  # (populations by excitation count, corner) of a state made by `from_x`
+    x_parts = None  # the `XState` of a state made by `from_x`
 
     def __post_init__(self):
         check_qubit_count(self.n_qubits)
@@ -242,7 +327,7 @@ class DensityMatrix:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         with _BUILD_LOCK:
             if "data" not in self.__dict__:
-                object.__setattr__(self, "data", x_matrix(self.n_qubits, *self.x_parts))
+                object.__setattr__(self, "data", self.x_parts.matrix())
         return self.__dict__["data"]
 
     @classmethod
@@ -251,7 +336,7 @@ class DensityMatrix:
         at [0...0, 1...1], its conjugate mirrored; n >= 2.
 
         Checked in O(n) instead of the O(4^n) scan: the entries are finite, the populations real, the trace
-        sum_w C(n, w) p_w is 1 within 1e-10, and the form is positive semidefinite (`check_x_positive`).
+        sum_w C(n, w) p_w is 1 within 1e-10, and `XState` finds the form positive semidefinite.
         `data` is built on its first read, with exactly the entries listed here.
         """
         check_qubit_count(n_qubits, minimum=2)
@@ -267,11 +352,9 @@ class DensityMatrix:
         tr = float(pops @ binomials(n_qubits)[n_qubits])
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace {tr!r} is not 1 within tolerance 1e-10")
-        check_x_positive(pops, corner)
-        pops.flags.writeable = False
         rho = object.__new__(cls)
         object.__setattr__(rho, "n_qubits", n_qubits)
-        object.__setattr__(rho, "x_parts", (pops, corner))
+        object.__setattr__(rho, "x_parts", XState(pops, corner))
         return rho
 
     @classmethod

@@ -1,9 +1,9 @@
 """The two structure classes of a permutation-invariant state, told apart only by `symmetric_view`.
 
-An X state (one population per excitation count plus the corner |0...0><1...1|) has every spectrum in closed
-form: its populations, with binomial multiplicities, plus at most one 2 x 2 block (Yu & Eberly, QIC 7, 459
-(2007); Ali, Rau & Alber, PRA 81, 042105 (2010)); any other invariant state is read from its dense matrix.
-Both views answer `entropy()`, `block(k)`, `conditional_entropy(k)`, `weight_distribution()` and `phis`.
+An X state is read as its `qstate.XState`, every spectrum in closed form: the one a family state holds in
+`x_parts`, else the one `x_form` finds in a dense matrix.  Any other invariant state is read from its dense
+matrix through `DenseSymmetric`, which bounds its own cost.  Both views answer `entropy()`, `block(k)`,
+`conditional_entropy(k)`, `weight_distribution()` and `phis`.
 """
 
 from __future__ import annotations
@@ -15,109 +15,29 @@ import numpy as np
 
 from .qstate import (
     INVARIANCE_TOL,
-    PROBABILITY_FLOOR,
     Cut,
     DensityMatrix,
     QubitCapError,
+    XState,
     basis_bits,
-    binomials,
-    check_x_positive,
     conditional_entropy,
     partial_trace,
     product_basis,
     require_permutation_symmetric,
     rotation_matrix,
-    shannon_entropy,
     von_neumann_entropy,
 )
 from .states import symmetric_basis
 
 _PHI_GRID = 64
 _MAX_SCAN_QUBITS = 10
-
-
-def x_entropy(d, z):
-    """Entropy of the m-qubit X state with populations d[..., w] and corner z; leading axes batch."""
-    m = d.shape[-1] - 1
-    mean = (d[..., 0] + d[..., m]) / 2.0
-    r = np.hypot((d[..., 0] - d[..., m]) / 2.0, np.abs(z))
-    spectrum = np.concatenate([(mean + r)[..., None], (mean - r)[..., None], d[..., 1:m]], axis=-1)
-    return shannon_entropy(spectrum[..., None]) @ np.concatenate([[1.0, 1.0], binomials(m)[m, 1:m]])
-
-
-def _branch_sum(d, z, counts):
-    """Sum over the branch axis -1 of counts b S(branch / b), populations d[..., i, :], corner z[..., i];
-    leading axes batch, and branches below b = 1e-12 add nothing."""
-    m = d.shape[-1] - 1
-    b = d @ binomials(m)[m]
-    keep = b >= PROBABILITY_FLOOR
-    safe = np.where(keep, b, 1.0)
-    return (np.where(keep, counts * b, 0.0) * x_entropy(d / safe[..., None], z / safe)).sum(axis=-1)
-
-
-@dataclass(frozen=True)
-class XState:
-    """Populations p_0..p_n by excitation count and the corner c = rho[0...0, 1...1], n >= 1."""
-
-    populations: np.ndarray
-    corner: complex
-    phi_step = 0.0  # phi enters only through cos(n phi - arg c), in which the entropy is concave
-
-    @property
-    def phis(self) -> np.ndarray:
-        """arg c / n and (arg c + pi) / n, the two ends of cos(n phi - arg c); exact, so `phi_step` is 0."""
-        return (np.angle(self.corner) + np.array([0.0, math.pi])) / (self.populations.size - 1)
-
-    def entropy(self) -> float:
-        return float(x_entropy(self.populations, self.corner))
-
-    def block(self, k: int) -> XState:
-        """Any k-qubit block, 0 < k < n: diagonal, populations summed over the traced qubits' counts."""
-        m = self.populations.size - 1 - k
-        return XState(np.correlate(self.populations, binomials(m)[m], "valid"), 0.0)
-
-    def conditional_entropy(self, k: int):
-        """ce over theta arrays of measuring a k-qubit block in `symmetric_basis(k, theta)`.
-
-        Each weight-j sector probe, 0 < j < k, leaves populations p_{j+w} at every theta; the rotated
-        extremal pair leaves cos^2 p_w + sin^2 p_{k+w} and sin^2 p_w + cos^2 p_{k+w}, corners +-cos sin c.
-        """
-        windows = np.lib.stride_tricks.sliding_window_view(self.populations, self.populations.size - k)
-        fixed = _branch_sum(windows[1:k], np.zeros(k - 1), binomials(k)[k, 1:k])
-        lo, hi = windows[0], windows[k]
-
-        def ce(thetas):
-            c, s = np.cos(thetas)[..., None], np.sin(thetas)[..., None]
-            d = np.stack([c * c * lo + s * s * hi, s * s * lo + c * c * hi], axis=-2)
-            return fixed + _branch_sum(d, np.array([1.0, -1.0]) * (c * s * self.corner), np.ones(2))
-
-        return ce
-
-    def weight_distribution(self):
-        """Outcome probability per weight w after dephasing in R(theta, phi), a function of angle arrays.
-
-        sum_{a,b} C(n-w, a) C(w, b) p_{a+b} sin^{2(a+w-b)} cos^{2(n-w-a+b)} (tabulated over w, a+w-b)
-        + 2 Re(c e^{-i n phi}) (-1)^{n-w} (cos sin)^n.
-        """
-        n = self.populations.size - 1
-        w, a, b = np.ogrid[: n + 1, : n + 1, : n + 1]  # C(n-w, a) C(w, b) vanishes off the sum
-        terms = binomials(n)[n - w, a] * binomials(n)[w, b] * self.populations[np.minimum(a + b, n)]
-        table = np.zeros((n + 1, n + 1))
-        np.add.at(table, (np.broadcast_to(w, terms.shape), np.clip(a + w - b, 0, n)), terms)
-        e = np.arange(n + 1)
-
-        def distribution(thetas, phis):
-            c, s = np.cos(thetas)[..., None], np.sin(thetas)[..., None]
-            corner = 2.0 * (self.corner * np.exp(-1j * n * phis[..., None])).real * (c * s) ** n
-            return (s ** (2 * e) * c ** (2 * (n - e))) @ table.T + corner * (-1.0) ** (n - e)
-
-        return distribution
+_SCAN_SLICE = 256  # angle pairs per dense weight-scan product, which bounds its intermediates
 
 
 @dataclass(frozen=True)
 class DenseSymmetric:
     """An invariant state outside the X class, read from its dense matrix; a block is its last k qubits.
-    The dense cost is kept here: one kernel call per angle array, and the weight scan's 10-qubit cap."""
+    The dense cost is kept here: the weight scan's 256-pair slices and its 10-qubit cap."""
 
     rho: DensityMatrix
     phis = np.linspace(0.0, 2.0 * math.pi, _PHI_GRID, endpoint=False)
@@ -146,11 +66,16 @@ class DenseSymmetric:
             raise QubitCapError(f"a dense shared-angle scan is capped at {_MAX_SCAN_QUBITS} qubits, got {n}")
         bit = (np.arange(n + 1)[:, None] > np.arange(n)).astype(int)  # [w, q]: qubit q is R|1> iff w > q
 
-        def distribution(thetas, phis):
+        def weights(thetas, phis):
             rows = rotation_matrix(thetas, phis).swapaxes(-1, -2)  # row b is R|b>
-            v = product_basis(rows[..., bit, None, :])[..., 0, :]  # [..., w, 2^n]: row w is v_w
-            flat = v.reshape(-1, 2**n)  # one matrix product for the whole batch
-            return ((flat.conj() @ self.rho.data) * flat).sum(axis=-1).real.reshape(v.shape[:-1])
+            v = product_basis(rows[..., bit, None, :])[..., 0, :].reshape(-1, 2**n)  # row (pair, w) is v_w
+            return ((v.conj() @ self.rho.data) * v).sum(axis=-1).real
+
+        def distribution(thetas, phis):
+            pairs = np.stack(np.broadcast_arrays(thetas, phis))
+            flat = pairs.reshape(2, -1)
+            parts = [weights(*flat[:, i : i + _SCAN_SLICE]) for i in range(0, flat.shape[1], _SCAN_SLICE)]
+            return np.concatenate(parts).reshape(*pairs.shape[1:], n + 1)
 
         return distribution
 
@@ -160,7 +85,7 @@ def x_form(rho: DensityMatrix) -> XState | None:
 
     Every off-diagonal entry but the two corners must be at most INVARIANCE_TOL
     in modulus, and the diagonal constant within it on each excitation count.
-    A form that is not positive semidefinite raises ValueError (`check_x_positive`).
+    A form that is not positive semidefinite raises ValueError (from `XState`).
     """
     n = rho.n_qubits
     off = np.abs(rho.data)
@@ -171,17 +96,14 @@ def x_form(rho: DensityMatrix) -> XState | None:
     uneven = np.abs(diag - populations[basis_bits(n).sum(axis=1)])
     if n < 2 or not max(off.max(), uneven.max()) <= INVARIANCE_TOL:
         return None
-    corner = complex(rho.data[0, -1])
-    check_x_positive(populations, corner)
-    populations.flags.writeable = False
-    return XState(populations, corner)
+    return XState(populations, complex(rho.data[0, -1]))
 
 
 def symmetric_view(rho: DensityMatrix, context: str) -> XState | DenseSymmetric:
     """The X form `rho` was built from, else the one `x_form` finds in its matrix, else its dense view once
     `require_permutation_symmetric(rho, context)` passes."""
     if rho.x_parts is not None:
-        return XState(*rho.x_parts)
+        return rho.x_parts
     x = x_form(rho)
     if x is not None:
         return x

@@ -31,9 +31,11 @@ def test_spec_validation():
         ChannelSpec("depolarizing", 0.5)
     with pytest.raises(ValueError, match="rate"):
         ChannelSpec(AMPLITUDE_DAMPING, 1.5)
-    for bad in (None, [0.3], 1 + 0j):
+    for bad in (None, [0.3], 1 + 0j, False, True, np.bool_(False), "0.3"):
         with pytest.raises(ValueError, match=r"rate must lie in \[0, 1\], got"):
             ChannelSpec(PHASE_DAMPING, bad)
+    for rate in (np.float64(0.3), np.float32(0.3), 0, 1):
+        assert ChannelSpec(PHASE_DAMPING, rate).rate == float(rate)
 
 
 def test_kraus_completeness():

@@ -98,6 +98,18 @@ class TestAnalyticFormula:
         with pytest.raises(ValueError, match="n must be an integer >= 2"):
             global_discord_thermo_analytic(n, 0.0 if n == -1 else 0.3)
 
+    @pytest.mark.parametrize("bad", [True, False, np.bool_(True), "0.3", None, 1 + 0j, 1.5])
+    def test_p0_must_be_a_real_number_in_the_unit_interval(self, bad):
+        with pytest.raises(ValueError, match=r"p0 must lie in \[0, 1\], got"):
+            global_discord_thermo_analytic(3, bad)
+        if isinstance(bad, str):
+            with pytest.raises(ValueError, match="got '0.3'"):  # quoted, so it cannot read as a number
+                global_discord_thermo_analytic(3, bad)
+
+    def test_numpy_floats_and_the_ints_0_and_1_pass(self):
+        for p0 in (np.float64(0.3), np.float32(0.3), 0, 1):
+            assert global_discord_thermo_analytic(3, p0) == global_discord_thermo_analytic(3, float(p0))
+
     def test_no_cap_on_the_qubit_count(self):
         """Past n of about 1070 both powers of p0 = 1/2 underflow to 0; the value is 0, not a math domain error."""
         assert global_discord_thermo_analytic(1100, 0.5) == 0.0

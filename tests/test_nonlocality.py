@@ -272,7 +272,7 @@ class TestMaxViolation:
         def refuse(*args):
             raise AssertionError("a 2^n table on an X-state path")
 
-        for target in ("symcorr.qstate.basis_bits", "symcorr.nonlocality.basis_bits", "symcorr.qstate.x_matrix"):
+        for target in ("symcorr.qstate.basis_bits", "symcorr.nonlocality.basis_bits", "symcorr.qstate.XState.matrix"):
             monkeypatch.setattr(target, refuse)
         make = {"thermo": lambda n, x: thermo_state(n, 1.0 - x / 2.0), "ghz_ad": lambda n, x: ghz_ad_closed(n, 0.6, x),
                 "ghz_pd": lambda n, x: ghz_pd_closed(n, 0.6, x)}[family]
@@ -280,9 +280,9 @@ class TestMaxViolation:
             for x in (0.0, 0.3, 0.8):
                 rho = make(n, x)
                 value, settings = max_violation(rho)
-                assert value == pytest.approx(2.0 * abs(rho.x_parts[1]) * nonlocality._comb_max(n), rel=1e-13)
+                assert value == pytest.approx(2.0 * abs(rho.x_parts.corner) * nonlocality._comb_max(n), rel=1e-13)
                 assert svetlichny_value(rho, settings) == value
-                assert correlation(rho, [0.0] * n) == pytest.approx(2.0 * rho.x_parts[1].real, abs=1e-15)
+                assert correlation(rho, [0.0] * n) == pytest.approx(2.0 * rho.x_parts.corner.real, abs=1e-15)
 
     def test_generic_path_handles_general_states(self):
         rng = np.random.default_rng(31)

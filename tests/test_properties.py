@@ -578,6 +578,19 @@ def test_dense_conditional_entropy_makes_one_kernel_call_per_angle_array(monkeyp
             assert len(calls) == 1
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_dense_distribution_over_a_4096_point_grid_is_its_value_point_by_point(n):
+    """The dense weight scan slices a long angle array itself, and no slice changes a point's value."""
+    rho = _ghz_dicke_plus_mixture(n, np.random.default_rng(n))
+    assert x_form(rho) is None
+    distribution = DenseSymmetric(rho).weight_distribution()
+    thetas, phis = np.meshgrid(THETA_GRID, DenseSymmetric.phis, indexing="ij")
+    batched = distribution(thetas, phis)
+    assert batched.shape == (64, 64, n + 1)
+    for i, j in itertools.product(range(64), range(64)):
+        assert (batched[i, j] == distribution(thetas[i, j : j + 1], phis[i, j : j + 1])[0]).all()
+
+
 def _unimodal_wave(u, r):
     """cos u + r cos 2u, r < 1/4: one minimum per period, r - 1 at u = pi."""
     return np.cos(u) + r * np.cos(2.0 * u)
@@ -594,8 +607,7 @@ def test_grid_golden_min_one_axis(a, b, r, size):
 
     axis = np.linspace(0.0, 2.0 * math.pi, size, endpoint=False)
     (x,), value = grid_golden_min(fn, (axis,), (2.0 * math.pi / size,), tol=1e-7)
-    grid_calls = -(-size // 256)
-    assert sum(sizes[:grid_calls]) == size and max(sizes[:grid_calls]) <= 256 and set(sizes[grid_calls:]) == {1}
+    assert sizes[0] == size and set(sizes[1:]) == {1}
     assert abs(value - a * (r - 1.0)) <= 1e-10
     assert abs(value - fn(np.array([[x]]))[0]) == 0.0
 
@@ -617,8 +629,7 @@ def test_grid_golden_min_two_axes(a, c, coupling, b, d, phi_steps):
 
     phis = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False) if phi_steps else np.array([d + math.pi, d])
     (x, y), value = grid_golden_min(fn, (THETA_GRID * 4.0, phis), (THETA_STEP * 4.0, phi_steps * math.pi / 32.0))
-    grid_calls = -(-64 * phis.size // 256)
-    assert sum(sizes[:grid_calls]) == 64 * phis.size and max(sizes[:grid_calls]) <= 256
+    assert sizes[0] == 64 * phis.size and set(sizes[1:]) == {1}
     assert abs(value - (-a - c)) <= 1e-10
     assert phi_steps or y == d + math.pi
 

@@ -102,13 +102,19 @@ class TestGhzFamilies:
                 with pytest.raises(ValueError, match=r"alpha1 must lie in \[0, 1\]"):
                     make(2, outside)
 
-    @pytest.mark.parametrize("bad", [None, [0.3], 1 + 0j])
+    @pytest.mark.parametrize("bad", [None, [0.3], 1 + 0j, True, False, np.bool_(True), "0.25", b"0.25"])
     def test_non_real_parameters_raise_value_error(self, bad):
+        """Bools and strings too, although `float` reads them as 1, 0 and 0.25."""
         for make in (lambda: thermo_state(3, bad), lambda: ghz_state(3, bad), lambda: ghz_ad_closed(3, bad, 0.2),
                      lambda: ghz_ad_closed(3, 0.6, bad), lambda: ghz_pd_closed(3, bad, 0.2),
                      lambda: ghz_pd_closed(3, 0.6, bad)):
             with pytest.raises(ValueError, match=r"must lie in \[0, 1\], got"):
                 make()
+
+    def test_numpy_floats_and_the_ints_0_and_1_pass(self):
+        for p0 in (np.float64(0.3), np.float32(0.3), 0, 1):
+            assert thermo_state(3, p0).data.tobytes() == thermo_state(3, float(p0)).data.tobytes()
+            assert ghz_ad_closed(3, 0.6, p0).data.tobytes() == ghz_ad_closed(3, 0.6, float(p0)).data.tobytes()
 
     def test_ad_closed_endpoints(self):
         psi = ghz_state(3, 0.6)

@@ -2,9 +2,10 @@
 oracle's and no import cycle, one place that tells the structure classes apart,
 one discord angle search and none in `nonlocality`, a CLI that reads mutual
 information from the genuine report, one binomial table, one Kronecker fold,
-three readers of the X form, one version number, a `sweep` command whose every
-flag lands in `SweepSpec` or names the output, no `strict` parameter, and no
-source line wider than 109 columns."""
+three builders of an `XState` and one corner-conjugate rule, no grid chunking
+in the angle search, one version number, a `sweep` command whose every flag
+lands in `SweepSpec` or names the output, no `strict` parameter, and no source
+line wider than 109 columns."""
 
 import ast
 import dataclasses
@@ -196,11 +197,52 @@ def test_no_module_imports_reduce():
     assert _uses("reduce") == []
 
 
-def test_x_parts_read_in_three_places():
-    """The X form is read by `qstate`, which holds it, by the structure-class dispatch, and by the
-    Svetlichny evaluator's corner entries; every other measure goes through `symmetric_view`."""
+def _calls(name):
+    """(module, innermost enclosing function or None, receiver source or None) of each call in src/ of a
+    function or method spelled `name`."""
+    found = []
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            callee = node.func
+            if isinstance(callee, ast.Name) and callee.id == name:
+                found.append((module, function, None))
+            elif isinstance(callee, ast.Attribute) and callee.attr == name:
+                found.append((module, function, ast.unparse(callee.value)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in sorted((SRC / "symcorr").glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem, None)
+    return found
+
+
+def test_x_states_are_built_in_three_places():
+    """`XState` is built by `DensityMatrix.from_x`, by `XState.block` and by `x_form`, each validated by
+    its constructor; `symmetric_view` builds none, and it and the Svetlichny corner entries, the only
+    readers of `x_parts` outside `qstate`, take the held object as it is."""
+    assert sorted(_calls("XState")) == [("qstate", "block", None), ("qstate", "from_x", None),
+                                        ("xstate", "x_form", None)]
     readers = {use for use in _uses("x_parts") if use[0] != "qstate"}
     assert readers == {("xstate", "symmetric_view"), ("nonlocality", "_antidiagonal_entries")}
+
+
+def test_the_corner_conjugate_is_written_once():
+    """The (c*, c) pair, with its +0j for a real corner, comes from `XState.corner_pair`, which the dense
+    build and the Svetlichny corner entries both read."""
+    conjugates = [call for name in ("conjugate", "conj") for call in _calls(name) if "corner" in (call[2] or "")]
+    assert conjugates == [("qstate", "corner_pair", "corner")]
+
+
+def test_optim_defines_no_chunk_constant():
+    """The angle search hands its whole grid to the objective; a dense objective slices its own scan."""
+    tree = ast.parse((SRC / "symcorr" / "optim.py").read_text())
+    names = [target.id for node in tree.body if isinstance(node, ast.Assign)
+             for target in node.targets if isinstance(target, ast.Name)]
+    names += [node.target.id for node in tree.body if isinstance(node, ast.AnnAssign)]
+    assert [name for name in names if "CHUNK" in name or "SLICE" in name] == []
 
 
 def test_every_sweep_flag_lands_in_the_spec():

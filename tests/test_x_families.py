@@ -16,7 +16,7 @@ from symcorr.global_discord import global_discord, global_discord_thermo_analyti
 from symcorr.nonlocality import max_violation, svetlichny_value
 from symcorr.qstate import Cut, DensityMatrix
 from symcorr.states import ghz_ad_closed, ghz_pd_closed, thermo_state
-from symcorr.xstate import x_form
+from symcorr.xstate import symmetric_view, x_form
 
 PROPS = settings(database=None, derandomize=True, max_examples=40, deadline=None)
 
@@ -63,8 +63,7 @@ def test_lazy_data_matches_an_independent_builder_byte_for_byte(form):
 @given(family=st.sampled_from(sorted(FAMILIES)), n=st.integers(2, 8), x=unit)
 def test_family_data_matches_an_independent_builder_byte_for_byte(family, n, x):
     rho = FAMILIES[family](n, x)
-    populations, corner = rho.x_parts
-    assert rho.data.tobytes() == _builder(n, populations, corner).tobytes()
+    assert rho.data.tobytes() == _builder(n, rho.x_parts.populations, rho.x_parts.corner).tobytes()
 
 
 def test_data_is_read_only_and_built_once():
@@ -75,7 +74,7 @@ def test_data_is_read_only_and_built_once():
     with pytest.raises(ValueError):
         first[0, 0] = 1.0
     with pytest.raises(ValueError):
-        rho.x_parts[0][0] = 1.0
+        rho.x_parts.populations[0] = 1.0
 
 
 def test_threads_reading_one_state_get_one_matrix():
@@ -99,6 +98,13 @@ def test_threads_reading_one_state_get_one_matrix():
             assert len(seen) == 8 and all(data is seen[0] for data in seen)
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_the_structure_view_of_a_family_state_is_its_held_x_state(family):
+    rho = FAMILIES[family](5, 0.3)
+    assert symmetric_view(rho, "test") is rho.x_parts
+    assert not rho.x_parts.populations.flags.writeable
 
 
 def test_dense_built_states_hold_no_x_form():
@@ -175,7 +181,7 @@ def _refuse(*args, **kwargs):
 @pytest.fixture
 def compact_only(monkeypatch):
     """Every measure must run from the held X form: building, scanning or symmetry-checking a state raises."""
-    monkeypatch.setattr("symcorr.qstate.x_matrix", _refuse)
+    monkeypatch.setattr("symcorr.qstate.XState.matrix", _refuse)
     monkeypatch.setattr("symcorr.xstate.x_form", _refuse)
     monkeypatch.setattr("symcorr.xstate.require_permutation_symmetric", _refuse)
     monkeypatch.setattr("symcorr.qstate.require_permutation_symmetric", _refuse)
