@@ -23,7 +23,7 @@ from .genuine import genuine_correlations
 from .global_discord import global_discord
 from .nonlocality import bounds as svetlichny_bounds
 from .nonlocality import max_violation
-from .qstate import MODES, DensityMatrix, QubitCapError
+from .qstate import DensityMatrix, QubitCapError
 from .states import ghz_ad_closed, ghz_pd_closed, thermo_state
 
 MEASURES = ("genuine_discord", "genuine_classical", "global_discord", "svetlichny", "mutual_info")
@@ -58,7 +58,6 @@ class SweepSpec:
     steps: int
     measures: tuple
     alpha1: float = None
-    mode: str = "symmetric"
     seed: int = 0
 
     def __post_init__(self):
@@ -80,20 +79,18 @@ def _build_state(family: str, n: int, value: float, alpha1) -> DensityMatrix:
     return (ghz_ad_closed if family == "ghz_ad" else ghz_pd_closed)(n, alpha1, value)
 
 
-def _compute_measures(rho: DensityMatrix, measures, mode: str, seed: int):
-    """Values and optimal angles of `measures`; `mode` picks the discord search, and mutual_info is the
-    genuine total, from the genuine report in symmetric mode when no genuine measure asks for `mode`."""
+def _compute_measures(rho: DensityMatrix, measures, seed: int):
+    """Values and optimal angles of `measures`; mutual_info is the genuine total, from the genuine report."""
     values, angles = {}, {}
     genuine = "genuine_discord" in measures or "genuine_classical" in measures
     if genuine or "mutual_info" in measures:
-        report = genuine_correlations(rho, mode=mode if genuine else "symmetric")
+        report = genuine_correlations(rho)
         values.update(genuine_discord=report.quantum, genuine_classical=report.classical,
                       mutual_info=report.total)
-        best = min(report.per_cut, key=lambda r: r.discord)
-        if genuine and best.optimal_theta is not None:
-            angles["genuine_discord"] = {"theta": best.optimal_theta}
+        if genuine:
+            angles["genuine_discord"] = {"theta": min(report.per_cut, key=lambda r: r.discord).optimal_theta}
     if "global_discord" in measures:
-        value, rot = global_discord(rho, mode=mode)
+        value, rot = global_discord(rho)
         values["global_discord"] = value
         angles["global_discord"] = {"theta": rot.pairs[0][0], "phi": rot.pairs[0][1]}
     if "svetlichny" in measures:
@@ -112,7 +109,7 @@ def run_single(args) -> int:
     value = getattr(args, param)
     fixed = _fixed_params(family, args.alpha1)
     rho = _build_state(family, args.n, value, args.alpha1)
-    values, _ = _compute_measures(rho, measures, args.mode, args.seed)
+    values, _ = _compute_measures(rho, measures, args.seed)
     rows = [("family", family), ("n", str(args.n)), (param, f"{value:.12g}")]
     rows += [(k, f"{v:.12g}") for k, v in fixed.items()]
     rows += [(m, f"{values[m]:.12g}") for m in measures]
@@ -129,7 +126,7 @@ def run_sweep(spec: SweepSpec, out_path: str):
     rows, points = [], []
     for value in grid:
         rho = _build_state(spec.family, spec.n, float(value), spec.alpha1)
-        values, angles = _compute_measures(rho, spec.measures, spec.mode, spec.seed)
+        values, angles = _compute_measures(rho, spec.measures, spec.seed)
         rows.append((float(value), [values[m] for m in spec.measures]))
         points.append({param: float(value), "angles": angles})
 
@@ -159,7 +156,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("family", choices=FAMILIES)
         p.add_argument("--n", type=int, required=True, help="number of qubits")
         p.add_argument("--measure", dest="measures", action="append", choices=MEASURES, required=True)
-        p.add_argument("--mode", choices=MODES, default="symmetric")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--alpha1", type=float, help="GHZ weight, for ghz_ad and ghz_pd only")
 

@@ -5,19 +5,20 @@ bipartite mutual information over all cuts; its quantum part is the minimum
 bipartite discord.  For symmetric states the discord minimization over
 projective bases on the measured block collapses to a single rotation angle
 (the `symmetric_basis` family), found by `optim.grid_golden_min` on the shared
-`optim.THETA_GRID`.  Symmetric mode reads every entropy and conditional
-entropy from the state's structure-class view (`xstate.symmetric_view`):
-closed forms for X states, the dense matrix otherwise.  A rank-2 shortcut
-through the purification ancilla (entanglement of formation of the
-block-ancilla pair) is provided for phase-damped GHZ states.
+`optim.THETA_GRID`.  Every entropy and conditional entropy is read from the
+state's structure-class view (`xstate.symmetric_view`): closed forms for X
+states, the dense matrix otherwise.  Only permutation-invariant states are
+accepted; `symcorr.oracle` searches general bases for arbitrary states of up to
+four qubits, and is reached only by name.  A rank-2 shortcut through the
+purification ancilla (entanglement of formation of the block-ancilla pair) is
+provided for phase-damped GHZ states.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, partial
-from typing import Optional
+from functools import cache
 
 import numpy as np
 
@@ -25,11 +26,9 @@ from .optim import THETA_GRID, THETA_STEP, fold_theta, grid_golden_min
 from .qstate import (
     Cut,
     DensityMatrix,
-    check_mode,
     check_qubit_count,
     clamp_nonneg,
     enumerate_cuts,
-    mutual_information,
     partial_trace,
     shannon_entropy,
     von_neumann_entropy,
@@ -49,7 +48,7 @@ class CutReport:
     mutual_info: float
     discord: float
     classical: float
-    optimal_theta: Optional[float]
+    optimal_theta: float
 
 
 @dataclass(frozen=True)
@@ -68,15 +67,9 @@ def _symmetric_discord(s_measured: float, s_rho: float, ce) -> tuple[float, floa
     return clamp_nonneg(s_measured - s_rho + ce_min, "discord"), fold_theta(theta)
 
 
-def _cut_measures(rho: DensityMatrix, mode: str, context: str):
-    """(cut -> mutual information, cut -> (discord, optimal_theta or None)) for `mode`; symmetric mode
-    reads both from the structure-class view, with S(rho) and each block entropy computed once."""
-    check_mode(mode)
-    if mode == "general":
-        from .oracle import DEFAULT_CONFIG, oracle_bipartite_discord
-
-        return partial(mutual_information, rho), lambda cut: (
-            oracle_bipartite_discord(rho, cut, DEFAULT_CONFIG), None)
+def _cut_measures(rho: DensityMatrix, context: str):
+    """(cut -> mutual information, cut -> (discord, optimal_theta)), both read from the structure-class
+    view, with S(rho) and each block entropy computed once."""
     view = symmetric_view(rho, context)
     s_rho = view.entropy()
     s_block = cache(lambda k: view.block(k).entropy())
@@ -91,56 +84,51 @@ def _cut_measures(rho: DensityMatrix, mode: str, context: str):
     return mutual_info, discord
 
 
-def bipartite_discord(
-    rho: DensityMatrix, cut: Cut, mode: str = "symmetric"
-) -> tuple[float, Optional[float]]:
-    """Discord across `cut`, measuring the `cut.measured` block.
+def bipartite_discord(rho: DensityMatrix, cut: Cut) -> tuple[float, float]:
+    """Discord across `cut`, measuring the `cut.measured` block of a permutation-invariant state.
 
-    Symmetric mode (permutation-invariant states only) minimizes the measured
-    conditional entropy over the single angle of `symmetric_basis` and returns
-    (discord, optimal_theta), theta folded into (0, pi/2].  General mode
-    delegates to the brute-force basis-search oracle and returns
-    (discord, None).
+    Minimizes the measured conditional entropy over the single angle of
+    `symmetric_basis` and returns (discord, optimal_theta), theta folded into
+    (0, pi/2].  Any other state raises `ValueError`; `oracle.oracle_bipartite_discord`
+    takes it, up to four qubits.
     """
     if cut.n_qubits != rho.n_qubits:
         raise ValueError("cut does not match the state's qubit count")
-    return _cut_measures(rho, mode, "symmetric-mode discord")[1](cut)
+    return _cut_measures(rho, "bipartite_discord")[1](cut)
 
 
-def _direction_min(discord, cut: Cut, mode: str):
+def _direction_min(discord, cut: Cut):
     """(cut, discord, theta) for the better of the two measurement directions.
 
-    The flipped cut is tried when the blocks differ in size or, in general
-    mode, always (equal symmetric blocks measure the same way from either side),
-    and wins only by more than 1e-12, so rounding noise cannot flip the side.
+    The flipped cut is tried only when the blocks differ in size (equal blocks
+    of an invariant state measure the same way from either side), and wins only
+    by more than 1e-12, so rounding noise cannot flip the side.
     """
     best = (cut, *discord(cut))
-    if len(cut.measured) == len(cut.remainder) and mode == "symmetric":
+    if len(cut.measured) == len(cut.remainder):
         return best
     flipped = Cut(cut.remainder, cut.measured)
     other = (flipped, *discord(flipped))
     return other if other[1] < best[1] - _SIDE_TIE_TOL else best
 
 
-def genuine_correlations(rho: DensityMatrix, mode: str = "symmetric") -> GenuineReport:
-    """Total, quantum and classical genuine correlations of `rho`.
+def genuine_correlations(rho: DensityMatrix) -> GenuineReport:
+    """Total, quantum and classical genuine correlations of a permutation-invariant `rho`.
 
     The total is the minimum bipartite mutual information over cuts; the
     quantum part is the minimum bipartite discord (each cut is measured from
     the better of its two sides); the classical part is their difference.
-    Symmetric mode exploits the spatial invariance and only visits one cut per
-    measured-block size; general mode enumerates every bipartition and uses
-    the brute-force oracle, subject to its qubit cap.
+    The invariance makes every cut of one measured-block size equivalent, so
+    one cut per size is visited.  Any other state raises `ValueError`.
     """
     n = rho.n_qubits
     check_qubit_count(n, minimum=2)
-    cuts = enumerate_cuts(n, mode)
-    mutual_info_of, discord_of = _cut_measures(rho, mode, "genuine_correlations")
+    mutual_info_of, discord_of = _cut_measures(rho, "genuine_correlations")
 
     reports = []
-    for cut in cuts:
+    for cut in enumerate_cuts(n):
         mi = clamp_nonneg(mutual_info_of(cut), "mutual information")
-        best_cut, discord, theta = _direction_min(discord_of, cut, mode)
+        best_cut, discord, theta = _direction_min(discord_of, cut)
         discord = min(discord, mi)  # optimizer noise must not push D past MI
         reports.append(CutReport(best_cut, mi, discord, mi - discord, theta))
     by_mi = min(reports, key=lambda r: r.mutual_info)

@@ -8,9 +8,11 @@ minimum over angles of the relative entropy to the dephased state minus the
 sum of the single-qubit relative entropies, each evaluated through the
 identity S(rho || Pi(rho)) = S(Pi(rho)) - S(rho).
 
-For permutation-invariant states one shared (theta, phi) pair suffices.
-`optim.grid_golden_min` scans `optim.THETA_GRID` times the phis of the state's
-structure-class view (`xstate.symmetric_view`), which also gives the
+Only permutation-invariant states are accepted, and for them one shared
+(theta, phi) pair suffices; `oracle.oracle_global_discord_full` optimizes all
+2n angles of an arbitrary state of up to four qubits, and is reached only by
+name.  `optim.grid_golden_min` scans `optim.THETA_GRID` times the phis of the
+state's structure-class view (`xstate.symmetric_view`), which also gives the
 probability of one outcome string per weight; `optim.fold_angles` folds the
 pair it reports into theta in (0, pi/2], phi in [0, pi).
 """
@@ -27,7 +29,6 @@ from .qstate import (
     RotationAngles,
     binomials,
     check_integer,
-    check_mode,
     check_unit_interval,
     clamp_nonneg,
     product_basis,
@@ -90,20 +91,14 @@ def _shared_angle_min(view, n: int) -> tuple[float, float, float]:
     return clamp_nonneg(value, "global discord"), *fold_angles(t, p)
 
 
-def global_discord(rho: DensityMatrix, mode: str = "symmetric") -> tuple[float, RotationAngles]:
-    """Global discord of `rho` and the minimizing rotation angles.
+def global_discord(rho: DensityMatrix) -> tuple[float, RotationAngles]:
+    """Global discord of a permutation-invariant `rho` and the minimizing rotation angles.
 
-    Symmetric mode (permutation-invariant states) shares one (theta, phi) pair
-    across all qubits: X states take 64 thetas on their two phi branches with
-    theta refined alone, up to the 12-qubit dense cap; other states a 64 x 64
-    grid with three golden-section sweeps, whose dense scan raises
-    `QubitCapError` above 10 qubits before any grid work.  General mode
-    optimizes all 2n angles through the multi-start oracle (small systems only).
+    One (theta, phi) pair is shared across all qubits: X states take 64 thetas
+    on their two phi branches with theta refined alone, up to the 12-qubit
+    dense cap; other invariant states a 64 x 64 grid with three golden-section
+    sweeps, whose dense scan raises `QubitCapError` above 10 qubits before any
+    grid work.  Any other state raises `ValueError`.
     """
-    check_mode(mode)
-    if mode == "general":
-        from .oracle import DEFAULT_CONFIG, oracle_global_discord_full
-
-        return oracle_global_discord_full(rho, DEFAULT_CONFIG)
-    value, t, p = _shared_angle_min(symmetric_view(rho, "symmetric-mode global discord"), rho.n_qubits)
+    value, t, p = _shared_angle_min(symmetric_view(rho, "global_discord"), rho.n_qubits)
     return value, RotationAngles.uniform(rho.n_qubits, t, p)

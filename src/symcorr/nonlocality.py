@@ -37,6 +37,7 @@ from .qstate import DensityMatrix, basis_bits, check_integer, check_qubit_count
 _FAST_PATH_TOL = 1e-12
 _IMAG_TOL = 1e-10
 _TWO_PI = 2.0 * math.pi
+RESTARTS = 64  # seeded random starting tables of the coordinate search
 _SLICE_FACTORS = 2**16  # gathered product factors per evaluator slice, which bound its intermediates
 _I_SPIN = np.array([[-1j], [1j]])  # i sigma for the spins sigma = -1, +1
 _PLUS_MINUS = np.array([[1.0, 1.0], [1j, -1j]])  # (a, b) @ _PLUS_MINUS = (a + i b, a - i b)
@@ -198,20 +199,17 @@ def _coordinate_search_max(evaluate, n: int, restarts: int, seed: int):
     return float(values[best]), SettingsTable(tuple(zip(x[best, 0::2], x[best, 1::2])))
 
 
-def max_violation(
-    rho: DensityMatrix, restarts: int = 64, seed: int = 0
-) -> tuple[float, SettingsTable]:
+def max_violation(rho: DensityMatrix, seed: int = 0) -> tuple[float, SettingsTable]:
     """Maximum of the polynomial over the 2n equatorial measurement angles.
 
     Uses the closed form when the extremal corner holds the only
     full-bit-flip coherence; otherwise runs the seeded multi-start
-    coordinate search: three exact sweeps over the 2n angles per restart,
-    which can stop short of the maximum, so its result is a lower bound.
-    `restarts` must be an integer >= 1 and `seed` an integer >= 0.
+    coordinate search: three exact sweeps over the 2n angles from each of
+    RESTARTS starting tables, which can stop short of the maximum, so its
+    result is a lower bound.  `seed` must be an integer >= 0.
     """
     n = rho.n_qubits
     check_qubit_count(n, minimum=2)
-    check_integer("restarts", restarts, minimum=1)
     check_integer("seed", seed, minimum=0)
     spins, values = _antidiagonal_entries(rho)
     evaluate = _svetlichny_evaluator(n, spins, values)
@@ -223,7 +221,7 @@ def max_violation(
         value = float(evaluate(np.ravel(settings.pairs)))
         if abs(value - 2.0 * abs(c) * _comb_max(n)) <= 1e-9:
             return value, settings
-    return _coordinate_search_max(evaluate, n, restarts, seed)
+    return _coordinate_search_max(evaluate, n, RESTARTS, seed)
 
 
 def bounds(n: int) -> SvetlichnyBounds:

@@ -36,7 +36,6 @@ PROBABILITY_FLOOR = 1e-12  # measurement branches below this count as unfired
 _BRANCH_ENTRIES = 2**18  # branch-state entries per conditional-entropy slice, which bound its intermediates
 UNITARITY_TOL = 1e-10
 INVARIANCE_TOL = 1e-9
-MODES = ("symmetric", "general")  # symmetry-reduced search, or the brute-force oracle
 _BUILD_LOCK = threading.Lock()  # so that threads reading one `from_x` state's `data` get one matrix
 
 
@@ -73,12 +72,6 @@ def check_unit_interval(name: str, value) -> float:
     if not 0.0 <= number <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
     return number
-
-
-def check_mode(mode: str) -> None:
-    """Reject a search mode that is not one of MODES."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be {' or '.join(map(repr, MODES))}, got {mode!r}")
 
 
 def basis_bits(n: int) -> np.ndarray:
@@ -205,7 +198,7 @@ def _branch_sum(d, z, counts):
     return (np.where(keep, counts * b, 0.0) * x_entropy(d / safe[..., None], z / safe)).sum(axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class XState:
     """Populations p_0..p_n by excitation count and the corner c = rho[0...0, 1...1], n >= 1; each spectrum
     is the populations, with binomial multiplicities, plus at most one 2 x 2 block (Yu & Eberly, QIC 7, 459
@@ -335,20 +328,21 @@ class DensityMatrix:
         """The X state with `populations[w]` on every basis state of w excitations, w = 0..n, and `corner`
         at [0...0, 1...1], its conjugate mirrored; n >= 2.
 
-        Checked in O(n) instead of the O(4^n) scan: the entries are finite, the populations real, the trace
-        sum_w C(n, w) p_w is 1 within 1e-10, and `XState` finds the form positive semidefinite.
+        Checked in O(n) instead of the O(4^n) scan: the entries are finite, the populations real numbers
+        (bool, integer, float, or complex with no imaginary part), the trace sum_w C(n, w) p_w is 1 within
+        1e-10, and `XState` finds the form positive semidefinite.
         `data` is built on its first read, with exactly the entries listed here.
         """
         check_qubit_count(n_qubits, minimum=2)
-        pops = np.array(populations, dtype=complex)
+        pops = np.array(populations)  # the one conversion: float64 input, as the families give, is stored
         corner = complex(corner)
         if pops.shape != (n_qubits + 1,):
             raise ValueError(f"need {n_qubits + 1} populations, got shape {pops.shape}")
-        if not (np.isfinite(pops).all() and np.isfinite(corner)):
+        if not np.isfinite(corner) or (pops.dtype.kind in "fc" and not np.isfinite(pops).all()):
             raise ValueError("populations and corner must be finite")
-        if pops.imag.any():
+        if pops.dtype.kind not in "biufc" or (pops.dtype.kind == "c" and pops.imag.any()):
             raise ValueError("populations must be real")
-        pops = pops.real.copy()
+        pops = np.ascontiguousarray(pops.real, dtype=float)  # a no-op for float64 input
         tr = float(pops @ binomials(n_qubits)[n_qubits])
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace {tr!r} is not 1 within tolerance 1e-10")
@@ -412,21 +406,10 @@ class Cut:
         return len(self.measured) + len(self.remainder)
 
 
-def enumerate_cuts(n: int, mode: str) -> list:
-    """Cuts that the genuine-correlation minimizations visit.
-
-    Symmetric mode gives one cut per measured-block size k = 1..n/2 (the
-    invariance makes every cut of that size equivalent); general mode gives
-    every unordered bipartition once.
-    """
-    check_mode(mode)
-    if mode == "symmetric":
-        return [Cut.of(n, range(n - k, n)) for k in range(1, n // 2 + 1)]
-    # subsets of qubits 0..n-2 hit each unordered bipartition exactly once
-    return [
-        Cut.of(n, [q for q in range(n - 1) if (bits >> q) & 1])
-        for bits in range(1, 2 ** (n - 1))
-    ]
+def enumerate_cuts(n: int) -> list:
+    """Cuts that the genuine-correlation minimizations visit: one per measured-block size k = 1..n/2, the
+    last k qubits (permutation invariance makes every cut of that size equivalent)."""
+    return [Cut.of(n, range(n - k, n)) for k in range(1, n // 2 + 1)]
 
 
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
@@ -614,5 +597,5 @@ def require_permutation_symmetric(rho: DensityMatrix, context: str) -> None:
         if not np.abs(moved - t).max() <= INVARIANCE_TOL:
             raise ValueError(
                 f"{context} requires a permutation-invariant state; "
-                "use mode='general' (brute-force oracle) for arbitrary states"
+                "symcorr.oracle (brute-force, up to 4 qubits) takes arbitrary states"
             )

@@ -7,9 +7,10 @@ from functools import cache
 import numpy as np
 import pytest
 
+from bipartitions import every_bipartition
 from symcorr.cli import FAMILIES, SweepSpec, main, run_sweep
 from symcorr.global_discord import global_discord_thermo_analytic
-from symcorr.qstate import enumerate_cuts, mutual_information
+from symcorr.qstate import mutual_information
 from symcorr.states import ghz_ad_closed, ghz_pd_closed, thermo_state
 
 
@@ -116,6 +117,7 @@ def test_sidecar_metadata_contents(tmp_path):
     assert meta["family"] == "thermo"
     assert meta["n"] == 3
     assert meta["angle_unit"] == "radians"
+    assert "mode" not in meta
     assert len(meta["points"]) == 3
     point = meta["points"][0]
     assert point["angles"]["global_discord"]["theta"] == pytest.approx(np.pi / 2, abs=1e-3)
@@ -182,10 +184,19 @@ def test_negative_svetlichny_seed_exits_2(capsys):
 
 
 def test_size_guard_exits_3(capsys):
-    code = main(["single", "thermo", "--n", "8", "--p0", "0.7",
-                 "--mode", "general", "--measure", "genuine_discord"])
+    code = main(["single", "thermo", "--n", "13", "--p0", "0.7", "--measure", "genuine_discord"])
     assert code == 3
     assert "cap" in capsys.readouterr().err
+
+
+def test_mode_flag_is_a_usage_error(tmp_path, capsys):
+    """The oracles are reached only by name, so no flag picks a discord search."""
+    out = tmp_path / "out.csv"
+    for verb_args in (["single", "thermo", "--p0", "0.7"],
+                      ["sweep", "thermo", "--start", "0", "--stop", "1", "--steps", "2", "--out", str(out)]):
+        assert main(verb_args + ["--n", "3", "--mode", "general", "--measure", "genuine_discord"]) == 2
+        assert "--mode" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_symmetric_global_discord_of_an_x_state_above_ten_qubits(capsys):
@@ -220,13 +231,13 @@ _STATES = {
 @cache
 def _dense_min_mutual_info(family, n, value):
     rho = _STATES[family](n, value)
-    return min(mutual_information(rho, cut) for cut in enumerate_cuts(n, "general"))
+    return min(mutual_information(rho, cut) for cut in every_bipartition(n))
 
 
-def _mutual_info_gap(tmp_path, family, n, grid, mode, measures):
+def _mutual_info_gap(tmp_path, family, n, grid, measures):
     """Largest distance of the swept mutual_info on `grid` from the dense minimum over every cut."""
     spec = SweepSpec(family=family, n=n, start=grid[0], stop=grid[1], steps=grid[2], measures=measures,
-                     alpha1=None if family == "thermo" else ALPHA1, mode=mode)
+                     alpha1=None if family == "thermo" else ALPHA1)
     rows = run_sweep(spec, str(tmp_path / "mi.csv"))
     return max(abs(measured[measures.index("mutual_info")] - _dense_min_mutual_info(family, n, value))
                for value, measured in rows)
@@ -235,17 +246,12 @@ def _mutual_info_gap(tmp_path, family, n, grid, mode, measures):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("n", range(2, 9))
 def test_mutual_info_is_the_dense_minimum_over_every_bipartition(tmp_path, family, n):
-    """The genuine total equals the dense minimum of `mutual_information` over all 2^(n-1) - 1 cuts, in
-    both modes, with and without a genuine measure asking for the mode.  n = 8 takes two points, because
-    its 127 dense cuts dominate the test's time; the general-mode discord oracle, whose cost grows about
-    twentyfold per qubit, runs at n = 2 only, on two points."""
+    """The genuine total equals the dense minimum of `mutual_information` over all 2^(n-1) - 1 cuts, with
+    and without a genuine measure in the sweep.  n = 8 takes two points, because its 127 dense cuts
+    dominate the test's time."""
     grid = (0.25, 0.75, 2) if n == 8 else (0.0, 1.0, 9)
-    runs = [(grid, "symmetric", ("genuine_discord", "mutual_info")), (grid, "symmetric", ("mutual_info",)),
-            (grid, "general", ("mutual_info",))]
-    if n == 2:
-        runs.append(((0.25, 0.75, 2), "general", ("genuine_classical", "mutual_info")))
-    for grid, mode, measures in runs:
-        assert _mutual_info_gap(tmp_path, family, n, grid, mode, measures) <= 1e-13, (mode, measures)
+    for measures in (("genuine_discord", "mutual_info"), ("mutual_info",)):
+        assert _mutual_info_gap(tmp_path, family, n, grid, measures) <= 1e-13, measures
 
 
 def test_mutual_info_reads_no_dense_mutual_information(monkeypatch, capsys):

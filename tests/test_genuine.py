@@ -94,14 +94,6 @@ class TestBipartiteDiscord:
             assert sym == pytest.approx(brute, abs=2e-3)
             assert sym >= brute - 1e-9
 
-    def test_general_mode_delegates_to_oracle(self):
-        rho = thermo_state(3, 0.8)
-        cut = Cut.of(3, {2})
-        d_general, theta = bipartite_discord(rho, cut, mode="general")
-        d_sym, _ = bipartite_discord(rho, cut)
-        assert theta is None
-        assert d_general == pytest.approx(d_sym, abs=2e-3)
-
     def test_symmetric_mode_rejects_asymmetric_states(self):
         rng = np.random.default_rng(21)
         a = rng.dirichlet(np.ones(2))
@@ -109,7 +101,7 @@ class TestBipartiteDiscord:
             DensityMatrix(1, np.diag(a).astype(complex)),
             DensityMatrix.maximally_mixed(1),
         )
-        with pytest.raises(ValueError, match="general"):
+        with pytest.raises(ValueError, match="symcorr.oracle"):
             bipartite_discord(rho, Cut.of(2, {1}))
 
     def test_conditional_entropy_period_and_reflection(self):
@@ -189,17 +181,11 @@ class TestGenuineCorrelations:
             assert a.quantum == pytest.approx(b.quantum, abs=1e-9)
             assert a.total == pytest.approx(b.total, abs=1e-9)
 
-    def test_general_mode_enumerates_all_cuts(self):
-        rep = genuine_correlations(thermo_state(3, 0.8), mode="general")
-        assert len(rep.per_cut) == 3
-        sym = genuine_correlations(thermo_state(3, 0.8))
-        assert rep.quantum == pytest.approx(sym.quantum, abs=2e-3)
-
     def test_rejects_asymmetric_states(self):
         rng = np.random.default_rng(33)
         diag = rng.dirichlet(np.ones(8))
         rho = DensityMatrix(3, np.diag(diag).astype(complex))
-        with pytest.raises(ValueError, match="general"):
+        with pytest.raises(ValueError, match="symcorr.oracle"):
             genuine_correlations(rho)
 
 

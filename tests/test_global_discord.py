@@ -12,7 +12,7 @@ from symcorr.global_discord import (
     global_discord_thermo_analytic,
     rotation_matrix,
 )
-from symcorr.oracle import OracleConfig, oracle_global_discord
+from symcorr.oracle import DEFAULT_CONFIG, OracleConfig, oracle_global_discord, oracle_global_discord_full
 from symcorr.qstate import DensityMatrix, QubitCapError, partial_trace, tensor, von_neumann_entropy
 from symcorr.states import ghz_ad_closed, ghz_state, thermo_state
 
@@ -167,12 +167,12 @@ class TestOptimizer:
     def test_rejects_asymmetric_states(self):
         rng = np.random.default_rng(17)
         rho = tensor(random_density(rng, 1), random_density(rng, 1))
-        with pytest.raises(ValueError, match="general"):
+        with pytest.raises(ValueError, match="symcorr.oracle"):
             global_discord(rho)
 
-    def test_general_mode_runs_all_angles(self):
+    def test_oracle_runs_all_angles(self):
         rho = thermo_state(3, 0.8)
-        value, angles = global_discord(rho, mode="general")
+        value, angles = oracle_global_discord_full(rho, DEFAULT_CONFIG)
         assert angles.n_qubits == 3
         assert value == pytest.approx(global_discord_thermo_analytic(3, 0.8), abs=2e-3)
 
@@ -206,9 +206,9 @@ class TestSharedAngleEvaluatorMatchesDensePath:
             global_discord(DensityMatrix.maximally_mixed(1))
         assert type(info.value) is ValueError
 
-    def test_single_qubit_is_a_plain_value_error_in_general_mode(self):
+    def test_single_qubit_is_a_plain_value_error_in_the_oracle(self):
         with pytest.raises(ValueError) as info:
-            global_discord(DensityMatrix.maximally_mixed(1), mode="general")
+            oracle_global_discord_full(DensityMatrix.maximally_mixed(1), DEFAULT_CONFIG)
         assert type(info.value) is ValueError
 
     def test_symmetric_mode_refuses_eleven_qubits_up_front(self, monkeypatch):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import logm
 
+from bipartitions import every_bipartition
 from symcorr.qstate import (
     EIGENVALUE_FLOOR,
     Cut,
@@ -26,8 +27,6 @@ from symcorr.qstate import (
     total_correlations,
     von_neumann_entropy,
 )
-from symcorr.genuine import bipartite_discord
-from symcorr.global_discord import global_discord
 from symcorr.states import ghz_ad_closed, ghz_state, symmetric_basis, thermo_state
 
 
@@ -446,8 +445,8 @@ class TestPermutationSymmetryCheck:
         assert is_invariant_under(only_cycle, cycle) and not is_invariant_under(only_cycle, swap)
         assert is_invariant_under(only_swap, swap) and not is_invariant_under(only_swap, cycle)
 
-    def test_error_names_general_mode(self):
-        with pytest.raises(ValueError, match="general"):
+    def test_error_names_the_oracle(self):
+        with pytest.raises(ValueError, match="symcorr.oracle"):
             require_permutation_symmetric(_w_with_phases(3), "test")
 
     def test_single_qubit_is_a_plain_value_error(self):
@@ -459,24 +458,11 @@ class TestPermutationSymmetryCheck:
 class TestEnumerateCuts:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_symmetric_one_cut_per_block_size(self, n):
-        cuts = enumerate_cuts(n, "symmetric")
+        cuts = enumerate_cuts(n)
         assert [len(c.measured) for c in cuts] == list(range(1, n // 2 + 1))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_general_every_unordered_bipartition_once(self, n):
-        cuts = enumerate_cuts(n, "general")
+        cuts = every_bipartition(n)
         unordered = {frozenset((c.measured, c.remainder)) for c in cuts}
         assert len(unordered) == len(cuts) == 2 ** (n - 1) - 1
-
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda mode: enumerate_cuts(3, mode),
-            lambda mode: bipartite_discord(thermo_state(3, 0.3), Cut.of(3, {2}), mode),
-            lambda mode: global_discord(thermo_state(3, 0.3), mode),
-        ],
-        ids=["enumerate_cuts", "bipartite_discord", "global_discord"],
-    )
-    def test_unknown_mode_rejected(self, call):
-        with pytest.raises(ValueError, match="mode must be 'symmetric' or 'general', got 'exhaustive'"):
-            call("exhaustive")

@@ -77,6 +77,13 @@ def test_data_is_read_only_and_built_once():
         rho.x_parts.populations[0] = 1.0
 
 
+def test_x_states_compare_and_hash_by_identity():
+    """Like `DensityMatrix` and `PureState`: a generated `==` would compare the population arrays."""
+    a, b = thermo_state(3, 0.3).x_parts, thermo_state(3, 0.3).x_parts
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
+
+
 def test_threads_reading_one_state_get_one_matrix():
     """Eight readers on two cores, switching every microsecond: a lost update would hand out two arrays."""
     interval = sys.getswitchinterval()
@@ -144,6 +151,21 @@ def test_complex_populations_and_wrong_lengths_raise_at_construction():
         DensityMatrix.from_x(2, [0.5, 0.0, 0.5 + 1e-3j], 0.0)
     with pytest.raises(ValueError, match="populations"):
         DensityMatrix.from_x(3, [0.5, 0.0, 0.5], 0.0)
+
+
+def test_populations_are_one_float64_copy_of_any_real_input():
+    """Lists, float64 and zero-imaginary complex arrays give the same bytes; the caller's array is copied."""
+    want = thermo_state(3, 0.3).x_parts
+    for given in (list(want.populations), want.populations.astype(complex), np.array(want.populations)):
+        got = DensityMatrix.from_x(3, given, want.corner).x_parts.populations
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.tobytes() == want.populations.tobytes()
+        given[0] = 0.5
+        assert got.tobytes() == want.populations.tobytes()
+    assert DensityMatrix.from_x(2, [1, False, 0], 0).x_parts.populations.tolist() == [1.0, 0.0, 0.0]
+    for bad in (np.array([0.5, 0.0, 0.5 + 1e-3j]), ["0.5", "0", "0.5"]):
+        with pytest.raises(ValueError, match="populations must be real"):
+            DensityMatrix.from_x(2, bad, 0.0)
 
 
 @PROPS
