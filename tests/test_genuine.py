@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bipartitions import every_bipartition
 from symcorr.genuine import (
     bipartite_discord,
     entanglement_of_formation,
@@ -20,10 +21,17 @@ from symcorr.qstate import (
     tensor,
     von_neumann_entropy,
 )
-from symcorr.states import ghz_pd_closed, ghz_state, symmetric_basis, thermo_state
+from symcorr.states import ghz_ad_closed, ghz_pd_closed, ghz_state, symmetric_basis, thermo_state
 
 SQ2 = 1 / np.sqrt(2)
 FAST_ORACLE = OracleConfig(restarts=4, grid_density=16, seed=3)
+
+
+def oracle_genuine_discord(rho, config):
+    """Genuine discord by brute force: the oracle's discord across every bipartition, measured from either
+    side, minimized."""
+    return min(oracle_bipartite_discord(rho, c, config)
+               for cut in every_bipartition(rho.n_qubits) for c in (cut, Cut(cut.remainder, cut.measured)))
 
 
 def manual_conditional_entropy(rho, measured, theta):
@@ -103,6 +111,12 @@ class TestBipartiteDiscord:
         )
         with pytest.raises(ValueError, match="symcorr.oracle"):
             bipartite_discord(rho, Cut.of(2, {1}))
+
+    def test_the_named_oracle_takes_the_rejected_state(self):
+        """A diagonal state times the maximally mixed qubit is classical, so its discord is zero."""
+        a = np.random.default_rng(21).dirichlet(np.ones(2))
+        rho = tensor(DensityMatrix(1, np.diag(a).astype(complex)), DensityMatrix.maximally_mixed(1))
+        assert oracle_bipartite_discord(rho, Cut.of(2, {1}), FAST_ORACLE) == pytest.approx(0.0, abs=1e-6)
 
     def test_conditional_entropy_period_and_reflection(self):
         ce_pts = {}
@@ -187,6 +201,26 @@ class TestGenuineCorrelations:
         rho = DensityMatrix(3, np.diag(diag).astype(complex))
         with pytest.raises(ValueError, match="symcorr.oracle"):
             genuine_correlations(rho)
+
+    def test_the_named_oracle_takes_the_rejected_state(self):
+        """A diagonal state is classical across every cut, so its genuine discord is zero."""
+        diag = np.random.default_rng(33).dirichlet(np.ones(8))
+        rho = DensityMatrix(3, np.diag(diag).astype(complex))
+        assert oracle_genuine_discord(rho, FAST_ORACLE) == pytest.approx(0.0, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: thermo_state(3, 0.8), lambda: ghz_pd_closed(3, 0.6, 0.4), lambda: ghz_ad_closed(3, 0.6, 0.3)],
+        ids=["thermo", "ghz_pd", "ghz_ad"],
+    )
+    def test_one_cut_per_block_size_matches_the_oracle_over_every_bipartition(self, make):
+        """Permutation invariance lets the symmetric path visit one cut per block size and one basis angle;
+        the oracle searches general bases across all 2^(n-1) - 1 cuts, from both sides."""
+        rho = make()
+        sym = genuine_correlations(rho).quantum
+        brute = oracle_genuine_discord(rho, FAST_ORACLE)
+        assert sym == pytest.approx(brute, abs=2e-3)
+        assert sym >= brute - 1e-9
 
 
 class TestEntanglementHelpers:

@@ -170,6 +170,12 @@ class TestOptimizer:
         with pytest.raises(ValueError, match="symcorr.oracle"):
             global_discord(rho)
 
+    def test_the_named_oracle_takes_the_rejected_state(self):
+        """A product of single-qubit states has zero global discord: measure each qubit in its eigenbasis."""
+        rng = np.random.default_rng(17)
+        rho = tensor(random_density(rng, 1), random_density(rng, 1))
+        assert oracle_global_discord(rho, FAST_ORACLE) == pytest.approx(0.0, abs=1e-6)
+
     def test_oracle_runs_all_angles(self):
         rho = thermo_state(3, 0.8)
         value, angles = oracle_global_discord_full(rho, DEFAULT_CONFIG)
