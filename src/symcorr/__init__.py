@@ -5,7 +5,7 @@ generalized Svetlichny nonlocality, computed with symmetry-reduced
 measurement optimizations and validated by brute-force oracles.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .channels import ChannelSpec, amplitude_damp, apply_local_channel, kraus_operators, phase_damp
 from .genuine import (
@@ -34,7 +34,6 @@ from .nonlocality import (
 from .qstate import (
     Cut,
     DensityMatrix,
-    PureState,
     QubitCapError,
     RotationAngles,
     conditional_state,
@@ -58,18 +57,17 @@ from .states import (
 )
 
 __all__ = [
-    "__version__",
     "ChannelSpec",
-    "CutReport",
     "Cut",
+    "CutReport",
     "DensityMatrix",
     "GenuineReport",
-    "PureState",
     "QubitCapError",
     "RotationAngles",
     "SettingsTable",
     "SvetlichnyBounds",
     "SvetlichnyExpansion",
+    "__version__",
     "amplitude_damp",
     "apply_local_channel",
     "bipartite_discord",

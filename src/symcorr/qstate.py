@@ -135,50 +135,6 @@ class RotationAngles:
         return len(self.pairs)
 
 
-def _qubits_for_length(length: int) -> int:
-    """n such that `length` == 2^n, n >= 1; integer arithmetic only."""
-    if length < 2 or length & (length - 1):
-        raise ValueError(f"length {length} is not a positive power of two")
-    return length.bit_length() - 1
-
-
-@dataclass(frozen=True, eq=False)
-class PureState:
-    """State vector of `n_qubits` qubits, unit norm within 1e-12."""
-
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        check_qubit_count(self.n_qubits)
-        vec = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        if vec.shape != (2**self.n_qubits,):
-            raise ValueError(f"amplitude vector has length {vec.size}, expected {2**self.n_qubits}")
-        norm = np.linalg.norm(vec)
-        if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
-            raise ValueError(f"state vector norm {norm!r} is not 1 within {NORM_TOL}")
-        vec.flags.writeable = False
-        object.__setattr__(self, "amplitudes", vec)
-
-    @classmethod
-    def from_vector(cls, vec) -> "PureState":
-        vec = np.asarray(vec, dtype=complex).reshape(-1)
-        return cls(_qubits_for_length(vec.size), vec)
-
-    @classmethod
-    def basis_state(cls, n_qubits: int, index: int) -> "PureState":
-        vec = np.zeros(2**n_qubits, dtype=complex)
-        vec[index] = 1.0
-        return cls(n_qubits, vec)
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
-
-    def to_density_matrix(self) -> "DensityMatrix":
-        return DensityMatrix(self.n_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
-
-
 def x_entropy(d, z):
     """Entropy of the m-qubit X state with populations d[..., w] and corner z; leading axes batch."""
     m = d.shape[-1] - 1
@@ -353,8 +309,12 @@ class DensityMatrix:
 
     @classmethod
     def from_matrix(cls, mat) -> "DensityMatrix":
+        """The state whose matrix is `mat`, of side 2^n for some n >= 1 (integer arithmetic only)."""
         mat = np.asarray(mat, dtype=complex)
-        return cls(_qubits_for_length(mat.shape[0]), mat)
+        length = mat.shape[0]
+        if length < 2 or length & (length - 1):
+            raise ValueError(f"length {length} is not a positive power of two")
+        return cls(length.bit_length() - 1, mat)
 
     @classmethod
     def maximally_mixed(cls, n_qubits: int) -> "DensityMatrix":
@@ -496,15 +456,19 @@ def _branches(rho: DensityMatrix, cut: Cut, probes) -> tuple[np.ndarray, np.ndar
     return b, (m + m.conj().swapaxes(-1, -2)) / (2.0 * np.where(b > 0.0, b, 1.0)[..., None, None])
 
 
-def conditional_state(rho: DensityMatrix, cut: Cut, probe: PureState) -> tuple[float, DensityMatrix | None]:
+def conditional_state(rho: DensityMatrix, cut: Cut, probe) -> tuple[float, DensityMatrix | None]:
     """Outcome probability and post-measurement state on the remainder.
 
-    Projects the measured block of `cut` onto `probe` (indexed by the measured
-    qubits in ascending order).  When the branch probability falls below 1e-12
-    the branch is reported as (0.0, None); such branches contribute nothing to
-    a conditional entropy.
+    Projects the measured block of `cut` onto `probe`, a unit vector of length
+    2^k indexed by the k measured qubits in ascending order; any other probe
+    raises ValueError.  When the branch probability falls below 1e-12 the
+    branch is reported as (0.0, None); such branches contribute nothing to a
+    conditional entropy.
     """
-    b, m = _branches(rho, cut, probe.amplitudes[None, :])
+    probe = np.asarray(probe, dtype=complex)
+    if probe.ndim != 1:
+        raise ValueError(f"probe must be one vector, got shape {probe.shape}")
+    b, m = _branches(rho, cut, probe[None, :])
     if not b[0]:
         return 0.0, None
     return float(b[0]), DensityMatrix(rho.n_qubits - len(cut.measured), m[0])

@@ -3,9 +3,10 @@
 Covers the symmetric mixed states produced by coherently remixing the extremal
 levels of a thermal product state, weighted GHZ states with their amplitude-
 and phase-damped closed forms, and the single-angle measurement basis
-families used by the discord optimizers.  The mixed families are X states,
-built from their populations by excitation count and their corner
-(`DensityMatrix.from_x`), so no dense matrix exists until one is read.
+families used by the discord optimizers.  All four families, the pure GHZ
+state among them, are X states, built from their populations by excitation
+count and their corner (`DensityMatrix.from_x`), so no dense matrix exists
+until one is read.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 
 from .qstate import (
     DensityMatrix,
-    PureState,
     basis_bits,
     check_qubit_count,
     check_unit_interval,
@@ -56,18 +56,17 @@ def thermo_state(n: int, p0: float) -> DensityMatrix:
     return DensityMatrix.from_x(n, populations, (p0**n - p1**n) / 2.0)
 
 
-def ghz_state(n: int, alpha1: float) -> PureState:
+def ghz_state(n: int, alpha1: float) -> DensityMatrix:
     """Weighted GHZ state alpha1|0...0> + alpha2|1...1>, alpha2 = sqrt(1 - alpha1^2).
 
-    The canonical parameter domain is alpha1 in [0, 1/sqrt(2)]; larger values up
+    A pure GHZ state is an X state: populations alpha1^2 and alpha2^2 at the
+    two ends and corner alpha1 alpha2, the entries of its outer product.  The
+    canonical parameter domain is alpha1 in [0, 1/sqrt(2)]; larger values up
     to 1 are accepted with a warning (they only relabel the two amplitudes).
     """
     check_qubit_count(n, minimum=2)
     alpha1, alpha2 = _check_alpha(alpha1)
-    vec = np.zeros(2**n, dtype=complex)
-    vec[0] = alpha1
-    vec[-1] = alpha2
-    return PureState(n, vec)
+    return DensityMatrix.from_x(n, [alpha1 * alpha1] + [0.0] * (n - 1) + [alpha2 * alpha2], alpha1 * alpha2)
 
 
 def ghz_ad_closed(n: int, alpha1: float, lam: float) -> DensityMatrix:

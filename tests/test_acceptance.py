@@ -124,7 +124,7 @@ def test_criterion_3_oracle_equivalence():
 def test_criterion_4_pure_ghz_baselines():
     failures = []
     for n in range(2, 7):
-        rep = genuine_correlations(ghz_state(n, SQ2).to_density_matrix())
+        rep = genuine_correlations(ghz_state(n, SQ2))
         for name, got, want in (
             ("T", rep.total, 2.0),
             ("D", rep.quantum, 1.0),
@@ -133,7 +133,7 @@ def test_criterion_4_pure_ghz_baselines():
             if abs(got - want) > 1e-9:
                 failures.append(f"n={n} {name}={got!r}")
     for n in range(2, 6):
-        value, _ = max_violation(ghz_state(n, SQ2).to_density_matrix())
+        value, _ = max_violation(ghz_state(n, SQ2))
         if abs(value - quantum_max(n)) > 1e-3:
             failures.append(f"n={n} svetlichny={value}")
     report("criterion 4 (pure GHZ baselines)", not failures, "; ".join(failures))
@@ -142,7 +142,7 @@ def test_criterion_4_pure_ghz_baselines():
 def test_criterion_5_channel_closed_form_consistency():
     worst = 0.0
     for n in range(2, 7):
-        psi = ghz_state(n, 0.55).to_density_matrix()
+        psi = ghz_state(n, 0.55)
         for rate in np.linspace(0.0, 1.0, 11):
             ad = apply_local_channel(psi, ChannelSpec(AMPLITUDE_DAMPING, rate))
             pd = apply_local_channel(psi, ChannelSpec(PHASE_DAMPING, rate))

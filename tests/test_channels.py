@@ -66,7 +66,7 @@ def test_phase_damping_preserves_populations():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_amplitude_damping_matches_closed_form(n):
     for lam in np.linspace(0, 1, 5):
-        got = amplitude_damp(ghz_state(n, 0.55).to_density_matrix(), lam)
+        got = amplitude_damp(ghz_state(n, 0.55), lam)
         want = ghz_ad_closed(n, 0.55, lam)
         assert np.abs(got.data - want.data).max() < 1e-12
 
@@ -74,7 +74,7 @@ def test_amplitude_damping_matches_closed_form(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_phase_damping_matches_closed_form(n):
     for gamma in np.linspace(0, 1, 5):
-        got = phase_damp(ghz_state(n, 0.55).to_density_matrix(), gamma)
+        got = phase_damp(ghz_state(n, 0.55), gamma)
         want = ghz_pd_closed(n, 0.55, gamma)
         assert np.abs(got.data - want.data).max() < 1e-12
 

@@ -15,13 +15,13 @@ from symcorr.oracle import OracleConfig, oracle_bipartite_discord
 from symcorr.qstate import (
     Cut,
     DensityMatrix,
-    PureState,
     mutual_information,
     partial_trace,
     tensor,
     von_neumann_entropy,
 )
 from symcorr.states import ghz_ad_closed, ghz_pd_closed, ghz_state, symmetric_basis, thermo_state
+from vectors import basis_vector, pure
 
 SQ2 = 1 / np.sqrt(2)
 FAST_ORACLE = OracleConfig(restarts=4, grid_density=16, seed=3)
@@ -69,7 +69,7 @@ def manual_conditional_entropy(rho, measured, theta):
 
 class TestBipartiteDiscord:
     def test_pure_ghz_any_cut_is_one(self):
-        rho = ghz_state(3, SQ2).to_density_matrix()
+        rho = ghz_state(3, SQ2)
         for measured in ({2}, {1, 2}, {0}):
             d, theta = bipartite_discord(rho, Cut.of(3, measured))
             assert d == pytest.approx(1.0, abs=1e-9)
@@ -146,7 +146,7 @@ class TestGenuineCorrelations:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_pure_ghz_baselines(self, n):
-        rep = genuine_correlations(ghz_state(n, SQ2).to_density_matrix())
+        rep = genuine_correlations(ghz_state(n, SQ2))
         assert rep.total == pytest.approx(2.0, abs=1e-9)
         assert rep.quantum == pytest.approx(1.0, abs=1e-9)
         assert rep.classical == pytest.approx(1.0, abs=1e-9)
@@ -225,12 +225,12 @@ class TestGenuineCorrelations:
 
 class TestEntanglementHelpers:
     def test_bell_state_concurrence_and_eof(self):
-        bell = PureState.from_vector(np.array([1, 0, 0, 1]) / np.sqrt(2)).to_density_matrix()
+        bell = pure(np.array([1, 0, 0, 1]) / np.sqrt(2))
         assert wootters_concurrence(bell) == pytest.approx(1.0, abs=1e-10)
         assert entanglement_of_formation(bell) == pytest.approx(1.0, abs=1e-10)
 
     def test_product_state_zero(self):
-        rho = PureState.basis_state(2, 1).to_density_matrix()
+        rho = pure(basis_vector(2, 1))
         assert wootters_concurrence(rho) == pytest.approx(0.0, abs=1e-10)
         assert entanglement_of_formation(rho) == pytest.approx(0.0, abs=1e-10)
 
@@ -240,7 +240,7 @@ class TestEntanglementHelpers:
             b = np.sqrt(1 - a * a)
             vec = np.zeros(4)
             vec[0], vec[3] = a, b
-            rho = PureState.from_vector(vec).to_density_matrix()
+            rho = pure(vec)
             assert wootters_concurrence(rho) == pytest.approx(2 * a * b, abs=1e-10)
 
 

@@ -15,6 +15,7 @@ from symcorr.global_discord import (
 from symcorr.oracle import DEFAULT_CONFIG, OracleConfig, oracle_global_discord, oracle_global_discord_full
 from symcorr.qstate import DensityMatrix, QubitCapError, partial_trace, tensor, von_neumann_entropy
 from symcorr.states import ghz_ad_closed, ghz_state, thermo_state
+from vectors import ghz_vector
 
 FAST_ORACLE = OracleConfig(restarts=4, grid_density=16, seed=7)
 
@@ -161,7 +162,7 @@ class TestOptimizer:
             assert a == pytest.approx(b, abs=1e-9)
 
     def test_pure_ghz_value(self):
-        value, _ = global_discord(ghz_state(3, 1 / np.sqrt(2)).to_density_matrix())
+        value, _ = global_discord(ghz_state(3, 1 / np.sqrt(2)))
         assert value == pytest.approx(1.0, abs=1e-6)
 
     def test_rejects_asymmetric_states(self):
@@ -185,7 +186,7 @@ class TestOptimizer:
 
 def _ghz_plus_mixture(n, weight=0.7):
     plus = np.full(2**n, 2 ** (-n / 2), dtype=complex)
-    ghz = ghz_state(n, 1 / np.sqrt(2)).amplitudes
+    ghz = ghz_vector(n, 1 / np.sqrt(2))
     return DensityMatrix(n, weight * np.outer(ghz, ghz.conj()) + (1 - weight) * np.outer(plus, plus))
 
 

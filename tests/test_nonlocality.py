@@ -47,7 +47,7 @@ def search(rho, restarts, seed):
 
 def ghz_plus_mixture(n, ghz_weight):
     """ghz_weight GHZ + (1 - ghz_weight) |+...+>: coherence on every antidiagonal entry."""
-    ghz = ghz_state(n, SQ2).to_density_matrix().data
+    ghz = ghz_state(n, SQ2).data
     return DensityMatrix(n, ghz_weight * ghz + (1.0 - ghz_weight) * np.full((2**n, 2**n), 2.0**-n))
 
 
@@ -111,7 +111,7 @@ class TestExpansion:
 
 class TestCorrelation:
     def test_pure_ghz_all_zero_angles(self):
-        rho = ghz_state(3, SQ2).to_density_matrix()
+        rho = ghz_state(3, SQ2)
         assert correlation(rho, [0.0, 0.0, 0.0]) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -155,7 +155,7 @@ class TestCorrelation:
 
 class TestSvetlichnyValue:
     def test_bell_state_at_optimal_settings(self):
-        rho = ghz_state(2, SQ2).to_density_matrix()
+        rho = ghz_state(2, SQ2)
         settings = SettingsTable(((0.0, np.pi / 2), (-np.pi / 4, np.pi / 4)))
         assert svetlichny_value(rho, settings) == pytest.approx(np.sqrt(2), abs=1e-12)
 
@@ -192,7 +192,7 @@ class TestSvetlichnyValue:
 class TestMaxViolation:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_pure_ghz_reaches_quantum_max(self, n):
-        rho = ghz_state(n, SQ2).to_density_matrix()
+        rho = ghz_state(n, SQ2)
         value, settings = max_violation(rho)
         expected = np.sqrt(2.0 ** (n - 1)) if n % 2 == 0 else np.sqrt(2.0 ** (n - 2))
         assert value == pytest.approx(expected, abs=1e-3)
@@ -268,7 +268,7 @@ class TestMaxViolation:
             assert value == 0.0
             assert svetlichny_value(rho, settings) == 0.0
 
-    @pytest.mark.parametrize("family", ["thermo", "ghz_ad", "ghz_pd"])
+    @pytest.mark.parametrize("family", ["thermo", "ghz_ad", "ghz_pd", "ghz"])
     def test_family_states_build_no_basis_table_and_no_matrix(self, family, monkeypatch):
         def refuse(*args):
             raise AssertionError("a 2^n table on an X-state path")
@@ -276,7 +276,7 @@ class TestMaxViolation:
         for target in ("symcorr.qstate.basis_bits", "symcorr.nonlocality.basis_bits", "symcorr.qstate.XState.matrix"):
             monkeypatch.setattr(target, refuse)
         make = {"thermo": lambda n, x: thermo_state(n, 1.0 - x / 2.0), "ghz_ad": lambda n, x: ghz_ad_closed(n, 0.6, x),
-                "ghz_pd": lambda n, x: ghz_pd_closed(n, 0.6, x)}[family]
+                "ghz_pd": lambda n, x: ghz_pd_closed(n, 0.6, x), "ghz": lambda n, x: ghz_state(n, x * SQ2)}[family]
         for n in range(2, 13):
             for x in (0.0, 0.3, 0.8):
                 rho = make(n, x)
@@ -348,3 +348,4 @@ def test_one_qubit_is_rejected_like_the_expansion():
         svetlichny_value(rho, SettingsTable(((0.0, np.pi / 2),)))
     with pytest.raises(ValueError, match=">= 2"):
         max_violation(rho)
+

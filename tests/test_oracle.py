@@ -29,6 +29,7 @@ from symcorr.qstate import (
     von_neumann_entropy,
 )
 from symcorr.states import ghz_ad_closed, ghz_pd_closed, ghz_state, thermo_state
+from vectors import ghz_vector
 
 FAST = OracleConfig(restarts=4, grid_density=16, seed=5)
 
@@ -70,7 +71,7 @@ def test_bipartite_product_state_zero():
 
 
 def test_bipartite_werner_mixture_positive():
-    bell = ghz_state(2, 1 / np.sqrt(2)).to_density_matrix()
+    bell = ghz_state(2, 1 / np.sqrt(2))
     rho = DensityMatrix(2, 0.5 * bell.data + 0.5 * np.eye(4) / 4)
     assert oracle_bipartite_discord(rho, Cut.of(2, {1}), FAST) > 1e-3
 
@@ -132,7 +133,7 @@ def _kron_objective(rho):
 
 
 def _ghz_plus(n, weight):
-    ghz = ghz_state(n, 1 / np.sqrt(2)).amplitudes
+    ghz = ghz_vector(n, 1 / np.sqrt(2))
     plus = np.full(2**n, 2 ** (-n / 2), dtype=complex)
     return DensityMatrix(n, weight * np.outer(ghz, ghz.conj()) + (1 - weight) * np.outer(plus, plus))
 

@@ -41,7 +41,6 @@ from symcorr.optim import THETA_GRID, THETA_STEP, fold_angles, grid_golden_min
 from symcorr.qstate import (
     Cut,
     DensityMatrix,
-    PureState,
     conditional_entropy,
     conditional_state,
     enumerate_cuts,
@@ -53,8 +52,9 @@ from symcorr.qstate import (
     shannon_entropy,
     von_neumann_entropy,
 )
-from symcorr.states import ghz_ad_closed, ghz_pd_closed, ghz_state, thermo_state
+from symcorr.states import ghz_ad_closed, ghz_pd_closed, thermo_state
 from symcorr.xstate import DenseSymmetric, x_form
+from vectors import basis_vector, ghz_vector, pure
 
 PROPS = settings(database=None, derandomize=True, max_examples=40, deadline=None)
 
@@ -205,9 +205,9 @@ def test_conditional_state_matches_permuted_kron_reference(case, probe_seed):
     n, k = rho.n_qubits, len(measured)
     rng = np.random.default_rng(probe_seed)
     v = rng.normal(size=2**k) + 1j * rng.normal(size=2**k)
-    probe = PureState(k, v / np.linalg.norm(v))
+    probe = v / np.linalg.norm(v)
     u = _to_front(n, measured)
-    ket = np.kron(probe.amplitudes[:, None], np.eye(2 ** (n - k)))
+    ket = np.kron(probe[:, None], np.eye(2 ** (n - k)))
     m = ket.conj().T @ (u @ rho.data @ u.conj().T) @ ket
     b_ref = m.trace().real
     assume(b_ref > 1e-6)
@@ -260,7 +260,7 @@ def test_conditional_entropy_edge_cases():
     rho = _random_state(2, np.random.default_rng(5))
     cut = Cut.of(2, {0})
     assert conditional_entropy(rho, cut, np.empty((0, 2))) == 0.0
-    zero2 = PureState.basis_state(2, 0).to_density_matrix()  # |00><00|, measured on |1>
+    zero2 = pure(basis_vector(2, 0))  # |00><00|, measured on |1>
     assert conditional_entropy(zero2, cut, np.array([[0.0, 1.0]])) == 0.0
     with pytest.raises(ValueError, match="probe"):
         conditional_entropy(rho, cut, np.eye(4))
@@ -381,7 +381,7 @@ def test_x_bipartite_discord_matches_dense_kernel(rho):
 
 
 def _ghz_plus_mixture(n, eps):
-    ghz = ghz_state(n, 1.0 / math.sqrt(2.0)).amplitudes
+    ghz = ghz_vector(n, 1.0 / math.sqrt(2.0))
     plus = np.full(2**n, 2 ** (-n / 2))
     return DensityMatrix(n, (1.0 - eps) * np.outer(ghz, ghz.conj()) + eps * np.outer(plus, plus))
 

@@ -11,7 +11,6 @@ from symcorr.qstate import (
     EIGENVALUE_FLOOR,
     Cut,
     DensityMatrix,
-    PureState,
     QubitCapError,
     basis_bits,
     clamp_nonneg,
@@ -28,6 +27,7 @@ from symcorr.qstate import (
     von_neumann_entropy,
 )
 from symcorr.states import ghz_ad_closed, ghz_state, symmetric_basis, thermo_state
+from vectors import basis_vector, pure
 
 
 def random_density(rng, n):
@@ -66,14 +66,10 @@ def naive_partial_trace(data, n, keep):
 
 
 def bell_state():
-    return PureState.from_vector(np.array([1, 0, 0, 1]) / np.sqrt(2)).to_density_matrix()
+    return pure(np.array([1, 0, 0, 1]) / np.sqrt(2))
 
 
 class TestTypes:
-    def test_pure_state_rejects_bad_norm(self):
-        with pytest.raises(ValueError, match="norm"):
-            PureState(1, np.array([1.0, 1.0]))
-
     def test_density_matrix_rejects_non_hermitian(self):
         m = np.array([[0.5, 0.1], [0.4, 0.5]], dtype=complex)
         with pytest.raises(ValueError, match="Hermitian"):
@@ -131,8 +127,8 @@ class TestTensorAndTrace:
         assert np.allclose(out.data, np.diag([0.25] * 4))
 
     def test_tensor_basis_product(self):
-        zero = PureState.basis_state(1, 0).to_density_matrix()
-        one = PureState.basis_state(1, 1).to_density_matrix()
+        zero = pure(basis_vector(1, 0))
+        one = pure(basis_vector(1, 1))
         out = tensor(zero, one)
         expected = np.zeros((4, 4))
         expected[1, 1] = 1.0  # |01> sits at index 1: qubit 0 is the high bit
@@ -158,7 +154,7 @@ class TestTensorAndTrace:
         assert np.abs(partial_trace(tensor(a, b), {1}).data - b.data).max() < 1e-12
 
     def test_partial_trace_ghz_pair(self):
-        rho = ghz_state(3, 1 / np.sqrt(2)).to_density_matrix()
+        rho = ghz_state(3, 1 / np.sqrt(2))
         reduced = partial_trace(rho, {0, 1})
         expected = np.zeros((4, 4))
         expected[0, 0] = expected[3, 3] = 0.5
@@ -194,8 +190,7 @@ class TestEntropy:
     def test_pure_state_zero(self):
         rng = np.random.default_rng(19)
         vec = rng.normal(size=4) + 1j * rng.normal(size=4)
-        psi = PureState.from_vector(vec / np.linalg.norm(vec))
-        assert von_neumann_entropy(psi.to_density_matrix()) == pytest.approx(0.0, abs=1e-12)
+        assert von_neumann_entropy(pure(vec / np.linalg.norm(vec))) == pytest.approx(0.0, abs=1e-12)
 
     def test_three_quarters_mixture(self):
         rho = DensityMatrix(1, np.diag([0.75, 0.25]).astype(complex))
@@ -220,13 +215,13 @@ class TestEntropy:
 
 class TestCorrelationQuantities:
     def test_total_correlations_product_pure(self):
-        zero = PureState.basis_state(1, 0).to_density_matrix()
+        zero = pure(basis_vector(1, 0))
         rho = tensor(tensor(zero, zero), zero)
         assert total_correlations(rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_total_correlations_ghz(self):
         for n in (2, 3, 4):
-            rho = ghz_state(n, 1 / np.sqrt(2)).to_density_matrix()
+            rho = ghz_state(n, 1 / np.sqrt(2))
             assert total_correlations(rho) == pytest.approx(n, abs=1e-9)
 
     def test_total_correlations_thermo_half(self):
@@ -242,7 +237,7 @@ class TestCorrelationQuantities:
         assert mutual_information(rho, Cut.of(3, {0})) == pytest.approx(0.0, abs=1e-9)
 
     def test_mutual_information_ghz_two(self):
-        rho = ghz_state(4, 1 / np.sqrt(2)).to_density_matrix()
+        rho = ghz_state(4, 1 / np.sqrt(2))
         for measured in ({0}, {1, 2}, {3}):
             assert mutual_information(rho, Cut.of(4, measured)) == pytest.approx(2.0, abs=1e-9)
 
@@ -277,7 +272,7 @@ class TestCorrelationQuantities:
 
 class TestConditionalState:
     def test_bell_probe(self):
-        b, cond = conditional_state(bell_state(), Cut.of(2, {1}), PureState.basis_state(1, 0))
+        b, cond = conditional_state(bell_state(), Cut.of(2, {1}), basis_vector(1, 0))
         assert b == pytest.approx(0.5, abs=1e-12)
         assert np.abs(cond.data - np.diag([1.0, 0.0])).max() < 1e-12
 
@@ -286,9 +281,9 @@ class TestConditionalState:
         a, b = random_density(rng, 1), random_density(rng, 1)
         rho = tensor(a, b)
         vec = rng.normal(size=2) + 1j * rng.normal(size=2)
-        probe = PureState.from_vector(vec / np.linalg.norm(vec))
+        probe = vec / np.linalg.norm(vec)
         prob, cond = conditional_state(rho, Cut.of(2, {0}), probe)
-        expected = probe.amplitudes.conj() @ a.data @ probe.amplitudes
+        expected = probe.conj() @ a.data @ probe
         assert prob == pytest.approx(expected.real, abs=1e-12)
         assert np.abs(cond.data - b.data).max() < 1e-10
 
@@ -299,17 +294,24 @@ class TestConditionalState:
         for theta in rng.uniform(0, np.pi / 2, 3):
             total = 0.0
             for row in symmetric_basis(2, theta):
-                prob, _ = conditional_state(rho, cut, PureState(2, row))
+                prob, _ = conditional_state(rho, cut, row)
                 total += prob
             assert total == pytest.approx(1.0, abs=1e-10)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="probe"):
-            conditional_state(bell_state(), Cut.of(2, {1}), PureState.basis_state(2, 0))
+    @pytest.mark.parametrize("probe, match", [
+        (np.array([1.0, 1.0]), "not unit vectors"),
+        (np.array([np.nan, np.nan]), "not unit vectors"),
+        (np.array([]), r"probe rows \(1, 0\) do not fit 1 measured qubits"),
+        (basis_vector(2, 0), r"probe rows \(1, 4\) do not fit 1 measured qubits"),
+        (np.array([[1.0, 0.0]]), r"probe must be one vector, got shape \(1, 2\)"),
+    ], ids=["non-unit", "nan", "empty", "wrong-length", "2-d"])
+    def test_probe_must_be_one_unit_vector_of_the_block(self, probe, match):
+        with pytest.raises(ValueError, match=match):
+            conditional_state(bell_state(), Cut.of(2, {1}), probe)
 
     def test_zero_probability_branch(self):
-        zero2 = PureState.basis_state(2, 0).to_density_matrix()  # |00><00|
-        prob, cond = conditional_state(zero2, Cut.of(2, {0}), PureState.basis_state(1, 1))
+        zero2 = pure(basis_vector(2, 0))  # |00><00|
+        prob, cond = conditional_state(zero2, Cut.of(2, {0}), basis_vector(1, 1))
         assert prob == 0.0 and cond is None
 
 
@@ -385,13 +387,7 @@ class TestConstructionRejectsBadInput:
         with pytest.raises(ValueError):
             DensityMatrix(2, m)
 
-    def test_pure_state_rejects_nan_vector(self):
-        with pytest.raises(ValueError, match="norm"):
-            PureState(1, [np.nan, np.nan])
-
-    def test_empty_vector_and_matrix_rejected(self):
-        with pytest.raises(ValueError, match="length 0"):
-            PureState.from_vector([])
+    def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError, match="length 0"):
             DensityMatrix.from_matrix(np.zeros((0, 0)))
 
@@ -405,7 +401,7 @@ def _w_with_phases(n):
     vec = np.zeros(2**n, dtype=complex)
     for k in range(n):
         vec[1 << (n - 1 - k)] = np.exp(2j * np.pi * k / n) / np.sqrt(n)
-    return PureState(n, vec).to_density_matrix()
+    return pure(vec)
 
 
 def _passes_symmetry_check(rho):
@@ -421,13 +417,13 @@ class TestPermutationSymmetryCheck:
     def test_agrees_with_unitary_conjugation(self, n):
         swap = permutation_unitary(n, [1, 0] + list(range(2, n)))
         cycle = permutation_unitary(n, [(i + 1) % n for i in range(n)])
-        mixed = 0.6 * ghz_state(n, 0.6).to_density_matrix().data + 0.4 * thermo_state(n, 0.3).data
+        mixed = 0.6 * ghz_state(n, 0.6).data + 0.4 * thermo_state(n, 0.3).data
         cases = [
             (thermo_state(n, 0.8), True),
             (ghz_ad_closed(n, 0.6, 0.3), True),
             (DensityMatrix(n, mixed), True),
             # qubits 0 and 1 in |0>, the rest in |1>: swap-invariant, not cycle-invariant
-            (PureState.basis_state(n, 2 ** (n - 2) - 1).to_density_matrix(), n == 2),
+            (pure(basis_vector(n, 2 ** (n - 2) - 1)), n == 2),
         ]
         if n >= 3:
             cases.append((_w_with_phases(n), False))  # cycle-invariant, not swap-invariant
@@ -441,7 +437,7 @@ class TestPermutationSymmetryCheck:
         swap = permutation_unitary(n, [1, 0, 2, 3])
         cycle = permutation_unitary(n, [1, 2, 3, 0])
         only_cycle = _w_with_phases(n)
-        only_swap = PureState.basis_state(n, 0b0011).to_density_matrix()
+        only_swap = pure(basis_vector(n, 0b0011))
         assert is_invariant_under(only_cycle, cycle) and not is_invariant_under(only_cycle, swap)
         assert is_invariant_under(only_swap, swap) and not is_invariant_under(only_swap, cycle)
 

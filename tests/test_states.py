@@ -36,7 +36,7 @@ class TestThermoState:
     def test_p0_one_is_pure_ghz_plus(self):
         for n in (2, 3, 5):
             rho = thermo_state(n, 1.0)
-            ghz = ghz_state(n, SQ2).to_density_matrix()
+            ghz = ghz_state(n, SQ2)
             assert np.abs(rho.data - ghz.data).max() < 1e-12
 
     def test_p0_half_is_product(self):
@@ -80,21 +80,22 @@ class TestThermoState:
 
 class TestGhzFamilies:
     def test_standard_ghz(self):
-        psi = ghz_state(3, SQ2)
-        assert psi.amplitudes[0] == pytest.approx(SQ2)
-        assert psi.amplitudes[-1] == pytest.approx(SQ2)
-        assert np.abs(psi.amplitudes[1:-1]).max() == 0.0
+        x = ghz_state(3, SQ2).x_parts
+        assert x.populations[[0, -1]] == pytest.approx([0.5, 0.5])
+        assert x.corner == pytest.approx(0.5)
+        assert np.abs(x.populations[1:-1]).max() == 0.0
 
     def test_alpha_zero_endpoint(self):
-        psi = ghz_state(3, 0.0)
-        assert psi.amplitudes[-1] == pytest.approx(1.0)
+        x = ghz_state(3, 0.0).x_parts
+        assert x.populations.tolist() == [0.0, 0.0, 0.0, 1.0] and x.corner == 0.0
 
     def test_large_alpha_warns_in_every_ghz_family(self):
         """alpha1 above 1/sqrt(2), the Fig. 3b weight among them, is accepted by all three GHZ constructors
         with the same warning; 1/sqrt(2) itself is silent, and a weight outside [0, 1] is refused."""
         for make in (ghz_state, lambda n, a: ghz_ad_closed(n, a, 0.2), lambda n, a: ghz_pd_closed(n, a, 0.2)):
-            with pytest.warns(UserWarning, match="relabeling"):
+            with pytest.warns(UserWarning, match="relabeling") as record:
                 make(2, FIG3B_ALPHA)
+            assert record[0].filename == __file__  # the warning points at the caller's line
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 make(2, SQ2)
@@ -118,7 +119,7 @@ class TestGhzFamilies:
 
     def test_ad_closed_endpoints(self):
         psi = ghz_state(3, 0.6)
-        assert np.abs(ghz_ad_closed(3, 0.6, 0.0).data - psi.to_density_matrix().data).max() < 1e-12
+        assert np.abs(ghz_ad_closed(3, 0.6, 0.0).data - psi.data).max() < 1e-12
         full_decay = ghz_ad_closed(3, 0.6, 1.0).data
         expected = np.zeros((8, 8))
         expected[0, 0] = 1.0
@@ -126,7 +127,7 @@ class TestGhzFamilies:
 
     def test_pd_closed_endpoints_and_rank(self):
         psi = ghz_state(3, 0.6)
-        assert np.abs(ghz_pd_closed(3, 0.6, 0.0).data - psi.to_density_matrix().data).max() < 1e-12
+        assert np.abs(ghz_pd_closed(3, 0.6, 0.0).data - psi.data).max() < 1e-12
         diag = ghz_pd_closed(3, 0.6, 1.0).data
         assert np.abs(diag - np.diag(np.diag(diag))).max() < 1e-14
         for gamma in np.linspace(0, 1, 7):

@@ -4,8 +4,8 @@ one discord angle search and none in `nonlocality`, a CLI that reads mutual
 information from the genuine report, one binomial table, one Kronecker fold,
 three builders of an `XState` and one corner-conjugate rule, no grid chunking
 in the angle search, one version number, a `sweep` command whose every flag
-lands in `SweepSpec` or names the output, no `strict` or `mode` parameter, and
-no source line wider than 109 columns."""
+lands in `SweepSpec` or names the output, no `strict` or `mode` parameter, no
+source line wider than 109 columns, and a pinned public API."""
 
 import ast
 import dataclasses
@@ -261,3 +261,56 @@ def test_no_function_takes_a_strict_parameter():
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
              and {"strict", "mode"} & {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}]
     assert found == []
+
+
+PUBLIC_API = [
+    "ChannelSpec",
+    "Cut",
+    "CutReport",
+    "DensityMatrix",
+    "GenuineReport",
+    "QubitCapError",
+    "RotationAngles",
+    "SettingsTable",
+    "SvetlichnyBounds",
+    "SvetlichnyExpansion",
+    "__version__",
+    "amplitude_damp",
+    "apply_local_channel",
+    "bipartite_discord",
+    "conditional_state",
+    "correlation",
+    "dephase_in_rotated_basis",
+    "embed_operator",
+    "entanglement_of_formation",
+    "genuine_correlations",
+    "ghz_ad_closed",
+    "ghz_pd_closed",
+    "ghz_state",
+    "global_discord",
+    "global_discord_thermo_analytic",
+    "is_invariant_under",
+    "koashi_winter_discord",
+    "kraus_operators",
+    "max_violation",
+    "mutual_information",
+    "partial_trace",
+    "permutation_unitary",
+    "phase_damp",
+    "rotation_matrix",
+    "shannon_entropy",
+    "svetlichny_expansion",
+    "svetlichny_value",
+    "symmetric_basis",
+    "tensor",
+    "thermo_state",
+    "total_correlations",
+    "von_neumann_entropy",
+    "wootters_concurrence",
+]
+
+
+def test_the_public_api_is_pinned():
+    """Adding or removing a public name is an edit here, a version bump and a CHANGES.md line."""
+    assert symcorr.__all__ == PUBLIC_API
+    assert all(hasattr(symcorr, name) for name in PUBLIC_API)

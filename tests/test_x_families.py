@@ -1,9 +1,11 @@
 """State families held in X form: the dense matrix built on first read, O(n) validation at construction, X-class
-positivity, and measures that never build, scan or symmetry-check a family state."""
+positivity (and every measure's positivity check of a dense matrix), the pure GHZ state as its outer product, and
+measures that never build, scan or symmetry-check a family state."""
 
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -13,15 +15,17 @@ from hypothesis import strategies as st
 from symcorr.cli import main
 from symcorr.genuine import bipartite_discord, genuine_correlations
 from symcorr.global_discord import global_discord, global_discord_thermo_analytic
-from symcorr.nonlocality import max_violation, svetlichny_value
-from symcorr.qstate import Cut, DensityMatrix
-from symcorr.states import ghz_ad_closed, ghz_pd_closed, thermo_state
+from symcorr.nonlocality import SettingsTable, correlation, max_violation, svetlichny_value
+from symcorr.qstate import Cut, DensityMatrix, XState
+from symcorr.states import ghz_ad_closed, ghz_pd_closed, ghz_state, thermo_state
 from symcorr.xstate import symmetric_view, x_form
+from vectors import ghz_vector
 
 PROPS = settings(database=None, derandomize=True, max_examples=40, deadline=None)
 
 FAMILIES = {
     "thermo": thermo_state,
+    "ghz": lambda n, x: ghz_state(n, x / math.sqrt(2.0)),
     "ghz_ad": lambda n, x: ghz_ad_closed(n, 1.0 / math.sqrt(2.0), x),
     "ghz_pd": lambda n, x: ghz_pd_closed(n, 0.6, x),
 }
@@ -78,7 +82,7 @@ def test_data_is_read_only_and_built_once():
 
 
 def test_x_states_compare_and_hash_by_identity():
-    """Like `DensityMatrix` and `PureState`: a generated `==` would compare the population arrays."""
+    """Like `DensityMatrix`: a generated `==` would compare the population arrays."""
     a, b = thermo_state(3, 0.3).x_parts, thermo_state(3, 0.3).x_parts
     assert a == a and a != b
     assert hash(a) == hash(a) and len({a, b}) == 2
@@ -194,6 +198,55 @@ def test_x_form_of_a_dense_matrix_rejects_a_non_psd_form():
     for call in (x_form, genuine_correlations, global_discord):
         with pytest.raises(ValueError, match="not positive semidefinite"):
             call(rho)
+
+
+def _non_psd_ghz_minus_plus():
+    """1.3 GHZ - 0.3 |+++><+++|: Hermitian with unit trace and permutation invariant, but not an X state."""
+    plus = np.full(8, 8**-0.5)
+    return DensityMatrix(3, 1.3 * ghz_state(3, 1.0 / math.sqrt(2.0)).data - 0.3 * np.outer(plus, plus))
+
+
+@pytest.mark.parametrize("make", [_non_psd_x_matrix, _non_psd_ghz_minus_plus], ids=["x", "non-x"])
+def test_a_non_psd_dense_state_is_rejected_by_every_measure(make):
+    """The Svetlichny functions too, which returned 0.990 and 1.741 as maxima: the antidiagonal they read
+    cannot show the negative eigenvalue."""
+    rho = make()
+    settings = SettingsTable(((0.0, math.pi / 2.0),) * 3)
+    for call in (genuine_correlations, global_discord, max_violation, lambda r: svetlichny_value(r, settings),
+                 lambda r: correlation(r, [0.0] * 3)):
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            call(rho)
+
+
+GHZ_ALPHAS = (0.0, 0.1, 0.55, 0.6, 1.0 / math.sqrt(2.0), 0.9, 1.0)
+
+
+def _ghz_and_outer_product(n, alpha1):
+    """`ghz_state(n, alpha1)` and the outer product of its amplitude vector; the warning past 1/sqrt(2) is
+    tested in test_states."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        rho = ghz_state(n, alpha1)
+    v = ghz_vector(n, alpha1)
+    return rho, np.outer(v, v.conj())
+
+
+@pytest.mark.parametrize("alpha1", GHZ_ALPHAS)
+def test_ghz_state_is_the_outer_product_of_its_amplitudes_byte_for_byte(alpha1):
+    for n in range(2, 11):
+        rho, outer = _ghz_and_outer_product(n, alpha1)
+        assert isinstance(rho.x_parts, XState)
+        assert rho.data.tobytes() == outer.tobytes()
+
+
+@pytest.mark.parametrize("alpha1", GHZ_ALPHAS)
+def test_ghz_state_measures_equal_those_of_its_dense_outer_product(alpha1):
+    for n in range(2, 9):
+        rho, outer = _ghz_and_outer_product(n, alpha1)
+        dense = DensityMatrix(n, outer)
+        assert dense.x_parts is None
+        for measure in (genuine_correlations, global_discord, max_violation):
+            assert repr(measure(rho)) == repr(measure(dense)), (n, measure.__name__)
 
 
 def _refuse(*args, **kwargs):
