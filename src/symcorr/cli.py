@@ -23,7 +23,7 @@ from .genuine import genuine_correlations
 from .global_discord import global_discord
 from .nonlocality import bounds as svetlichny_bounds
 from .nonlocality import max_violation
-from .qstate import DensityMatrix, QubitCapError
+from .qstate import DensityMatrix, QubitCapError, check_integer, check_qubit_count
 from .states import ghz_ad_closed, ghz_pd_closed, thermo_state
 
 MEASURES = ("genuine_discord", "genuine_classical", "global_discord", "svetlichny", "mutual_info")
@@ -63,8 +63,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {tuple(FAMILIES)}, got {self.family!r}")
-        if self.steps < 2:
-            raise ValueError(f"steps must be at least 2, got {self.steps}")
+        check_qubit_count(self.n, minimum=2)
+        check_integer("steps", self.steps, 2)
         if not (0.0 <= self.start <= self.stop <= 1.0):
             raise ValueError(
                 f"range [{self.start}, {self.stop}] outside the parameter domain [0, 1]"

@@ -103,14 +103,12 @@ def svetlichny_expansion(n: int) -> SvetlichnyExpansion:
 def _antidiagonal_entries(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     """(spins, values) of the nonzero elements rho[~s, s] connecting a basis state s to its full bit flip:
     row j of `spins` holds sigma_q = 2 s_q - 1 of entry `values[j]`.  A state held in X form gives its
-    `XState.corner_pair` (c*, c), with no 2^n vector; a dense state is first checked positive semidefinite
-    by `eigenvalues`, one O(8^n) eigensolve, since its antidiagonal alone cannot tell."""
+    `XState.corner_pair` (c*, c), with no 2^n vector; a dense one was checked positive when it was made."""
     n = rho.n_qubits
     if rho.x_parts is not None:
         values = np.array(rho.x_parts.corner_pair)
         spins = np.array([[-1.0] * n, [1.0] * n])
         return (spins, values) if rho.x_parts.corner else (spins[:0], values[:0])
-    rho.eigenvalues()
     dim = rho.dim
     idx = np.arange(dim)
     anti = rho.data[dim - 1 - idx, idx]

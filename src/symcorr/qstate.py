@@ -5,15 +5,13 @@ Conventions, fixed package-wide:
 * Qubit 0 is the most significant bit of a computational-basis index, so the
   n-qubit basis state |b0 b1 ... b_{n-1}> sits at index sum_i b_i * 2**(n-1-i).
 * All entropies are in bits (base-2 logarithms).
-* Every value is immutable: constructors copy their input and mark the wrapped
-  arrays read-only, so states can be shared freely across threads.  A state
-  built from its X form (`DensityMatrix.from_x`, which the state families use)
-  holds it as one `XState` and builds its dense matrix once, on the first read
-  of `data`, under a lock; the build is idempotent, and every later read
-  returns the same array.
+* Every value is immutable: constructors copy their input and mark the wrapped arrays read-only, so states
+  can be shared freely across threads.  A dense state is checked positive when made, by the one eigensolve
+  whose spectrum `eigenvalues` returns; a state built from its X form (`DensityMatrix.from_x`, which the
+  families use) holds one `XState` and builds its matrix, then its spectrum, once each, under a lock.
 
-Matrices are dense, with a practical cap of MAX_QUBITS qubits; a state built
-from its X form is dense only once something reads its matrix.
+Matrices are dense, with a practical cap of MAX_QUBITS qubits; a state built from its X form is dense only
+once something reads its matrix.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ PROBABILITY_FLOOR = 1e-12  # measurement branches below this count as unfired
 _BRANCH_ENTRIES = 2**18  # branch-state entries per conditional-entropy slice, which bound its intermediates
 UNITARITY_TOL = 1e-10
 INVARIANCE_TOL = 1e-9
-_BUILD_LOCK = threading.Lock()  # so that threads reading one `from_x` state's `data` get one matrix
+_BUILD_LOCK = threading.RLock()  # threads reading one `from_x` state get one matrix and one spectrum
 
 
 def clamp_nonneg(x: float, what: str) -> float:
@@ -44,6 +42,16 @@ def clamp_nonneg(x: float, what: str) -> float:
     if x < EIGENVALUE_FLOOR:
         raise ValueError(f"{what} evaluated to {x}, below the numerical slack")
     return max(x, 0.0)
+
+
+def _spectrum(mat: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of `mat`, clamped to [0, 1] and read-only; ValueError if one is below -1e-9."""
+    lam = np.linalg.eigvalsh(mat)
+    if lam[0] < EIGENVALUE_FLOOR:
+        raise ValueError(f"eigenvalue {lam[0]} below {EIGENVALUE_FLOOR}: state is not positive semidefinite")
+    lam = np.clip(lam, 0.0, 1.0)
+    lam.flags.writeable = False
+    return lam
 
 
 class QubitCapError(ValueError):
@@ -242,11 +250,10 @@ class XState:
 class DensityMatrix:
     """Density operator of `n_qubits` qubits as a dense 2^n x 2^n matrix.
 
-    Enforced on construction: Hermiticity (elementwise 1e-10) and unit trace
-    (1e-10).  Positivity is enforced lazily: `eigenvalues` rejects any
-    eigenvalue below -1e-9 and clamps the remaining numerical noise to [0, 1].
-    A state made by `from_x` is checked in O(n), positivity included, holds
-    its `XState` in `x_parts` and builds `data` from it on the first read.
+    Enforced on construction: Hermiticity (elementwise 1e-10), unit trace (1e-10) and positivity, by the one
+    eigensolve, which rejects any eigenvalue below -1e-9 and keeps the rest, clamped to [0, 1], for
+    `eigenvalues`.  A state made by `from_x` is checked in O(n), positivity included, holds its `XState` in
+    `x_parts`, and builds `data` from it, and then its spectrum, on their first reads.
     """
 
     n_qubits: int
@@ -269,15 +276,17 @@ class DensityMatrix:
             raise ValueError(f"trace {tr!r} is not 1 within tolerance 1e-10")
         mat.flags.writeable = False
         object.__setattr__(self, "data", mat)
+        object.__setattr__(self, "_spectrum", _spectrum(mat))
 
     def __getattr__(self, name):
-        # reached only while `data` is unset, that is for a `from_x` state before its first read
-        if name != "data" or "x_parts" not in self.__dict__:
+        # reached only while `data` or `_spectrum` is unset: on a `from_x` state, before its first read
+        if name not in ("data", "_spectrum") or "x_parts" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        with _BUILD_LOCK:
-            if "data" not in self.__dict__:
-                object.__setattr__(self, "data", self.x_parts.matrix())
-        return self.__dict__["data"]
+        with _BUILD_LOCK:  # reentrant, as the spectrum is solved from `data`
+            if name not in self.__dict__:
+                value = self.x_parts.matrix() if name == "data" else _spectrum(self.data)
+                object.__setattr__(self, name, value)
+        return self.__dict__[name]
 
     @classmethod
     def from_x(cls, n_qubits: int, populations, corner: complex) -> "DensityMatrix":
@@ -318,6 +327,7 @@ class DensityMatrix:
 
     @classmethod
     def maximally_mixed(cls, n_qubits: int) -> "DensityMatrix":
+        check_qubit_count(n_qubits)  # before the 4^n allocation
         dim = 2**n_qubits
         return cls(n_qubits, np.eye(dim) / dim)
 
@@ -326,14 +336,8 @@ class DensityMatrix:
         return 2**self.n_qubits
 
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues, clamped to [0, 1] after the PSD noise check."""
-        evals = np.linalg.eigvalsh(self.data)
-        if evals.min() < EIGENVALUE_FLOOR:
-            raise ValueError(
-                f"eigenvalue {evals.min()} below {EIGENVALUE_FLOOR}: state is not "
-                "positive semidefinite"
-            )
-        return np.clip(evals, 0.0, 1.0)
+        """Ascending eigenvalues, clamped to [0, 1] and read-only; solved once per state."""
+        return self._spectrum
 
 
 @dataclass(frozen=True)
@@ -374,6 +378,7 @@ def enumerate_cuts(n: int) -> list:
 
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     """Kronecker product of two states; `a`'s qubits become the leading ones."""
+    check_qubit_count(a.n_qubits + b.n_qubits)  # before the 4^n allocation
     return DensityMatrix(a.n_qubits + b.n_qubits, np.kron(a.data, b.data))
 
 

@@ -83,9 +83,8 @@ class DenseSymmetric:
 def x_form(rho: DensityMatrix) -> XState | None:
     """The X form of `rho`, or None below 2 qubits or outside the class; O(4^n).
 
-    Every off-diagonal entry but the two corners must be at most INVARIANCE_TOL
-    in modulus, and the diagonal constant within it on each excitation count.
-    A form that is not positive semidefinite raises ValueError (from `XState`).
+    Every off-diagonal entry but the two corners must be at most INVARIANCE_TOL in modulus, and the diagonal
+    constant within it on each excitation count; `XState` rechecks positivity, which `rho` had when made.
     """
     n = rho.n_qubits
     off = np.abs(rho.data)

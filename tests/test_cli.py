@@ -10,7 +10,7 @@ import pytest
 from bipartitions import every_bipartition
 from symcorr.cli import FAMILIES, SweepSpec, main, run_sweep
 from symcorr.global_discord import global_discord_thermo_analytic
-from symcorr.qstate import mutual_information
+from symcorr.qstate import QubitCapError, mutual_information
 from symcorr.states import ghz_ad_closed, ghz_pd_closed, thermo_state
 
 
@@ -173,6 +173,20 @@ def test_family_flags_are_checked_in_single_and_sweep(tmp_path, capsys):
     assert "takes no alpha1" in capsys.readouterr().err
     with pytest.raises(ValueError, match="takes no alpha1"):
         SweepSpec(family="thermo", n=3, start=0.2, stop=0.8, steps=3, measures=("mutual_info",), alpha1=0.5)
+
+
+@pytest.mark.parametrize("field, value, error, match", [
+    ("steps", 2.5, ValueError, "steps must be an integer >= 2"),
+    ("steps", "3", ValueError, "steps must be an integer >= 2"),
+    ("n", 1, ValueError, "qubit count must be an integer >= 2"),
+    ("n", 13, QubitCapError, "capped at 12 qubits"),
+], ids=["steps-float", "steps-str", "n-1", "n-13"])
+def test_spec_checks_steps_and_n_at_construction(field, value, error, match):
+    """A fractional or string `steps` failed inside `np.linspace` or the `<` test with `TypeError`, and a
+    bad `n` only in `run_sweep`."""
+    given = dict(family="thermo", n=3, start=0.2, stop=0.8, steps=3, measures=("mutual_info",))
+    with pytest.raises(error, match=match):
+        SweepSpec(**{**given, field: value})
 
 
 def test_negative_svetlichny_seed_exits_2(capsys):

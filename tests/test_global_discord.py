@@ -220,7 +220,7 @@ class TestSharedAngleEvaluatorMatchesDensePath:
 
     def test_symmetric_mode_refuses_eleven_qubits_up_front(self, monkeypatch):
         # a dense shared-angle scan takes about 12 s at 10 qubits; at 11 the cap of the dense view fires
-        # before any grid work or full-state eigensolve
+        # before any grid work or entropy read (the state's one eigensolve ran when it was built)
         def unreachable(*args, **kwargs):
             raise AssertionError("work done past the qubit cap")
 

@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import logm
 
 from bipartitions import every_bipartition
+from symcorr.nonlocality import SettingsTable, correlation, max_violation, svetlichny_value
 from symcorr.qstate import (
     EIGENVALUE_FLOOR,
     Cut,
@@ -27,7 +28,7 @@ from symcorr.qstate import (
     von_neumann_entropy,
 )
 from symcorr.states import ghz_ad_closed, ghz_state, symmetric_basis, thermo_state
-from vectors import basis_vector, pure
+from vectors import basis_vector, ghz_vector, pure
 
 
 def random_density(rng, n):
@@ -69,6 +70,19 @@ def bell_state():
     return pure(np.array([1, 0, 0, 1]) / np.sqrt(2))
 
 
+def _non_psd_matrices():
+    """Hermitian unit-trace matrices with a negative eigenvalue: diag(1.1, -0.1); the 3-qubit X matrix with
+    |c|^2 > p_0 p_3; and 1.3 GHZ - 0.3 |+++><+++|, permutation invariant but not X."""
+    x = np.diag([0.2, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.2]).astype(complex)
+    x[0, -1] = x[-1, 0] = 0.35
+    plus = np.full(8, 8**-0.5)
+    ghz_minus_plus = 1.3 * ghz_state(3, 1.0 / np.sqrt(2.0)).data - 0.3 * np.outer(plus, plus)
+    return {"diag": np.diag([1.1, -0.1]).astype(complex), "x": x, "ghz-minus-plus": ghz_minus_plus}
+
+
+NON_PSD = _non_psd_matrices()
+
+
 class TestTypes:
     def test_density_matrix_rejects_non_hermitian(self):
         m = np.array([[0.5, 0.1], [0.4, 0.5]], dtype=complex)
@@ -79,11 +93,28 @@ class TestTypes:
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix(1, np.eye(2))
 
-    def test_psd_violation_caught_at_entropy(self):
-        m = np.diag([1.1, -0.1]).astype(complex)
-        rho = DensityMatrix(1, m)
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            von_neumann_entropy(rho)
+    def test_each_state_is_solved_once(self, monkeypatch):
+        """A dense state at construction, a `from_x` state on its first `eigenvalues` call; repeated
+        measures solve nothing more, and the spectrum they share is read-only."""
+        solves, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(a.shape) or eigvalsh(a))
+        plus, ghz = np.full(8, 8**-0.5), ghz_vector(3, 2**-0.5)
+        dense = DensityMatrix(3, 0.7 * np.outer(ghz, ghz.conj()) + 0.3 * np.outer(plus, plus))
+        assert solves == [(8, 8)]
+        settings = SettingsTable(((0.0, np.pi / 2.0),) * 3)
+        for _ in range(3):
+            von_neumann_entropy(dense)
+            correlation(dense, [0.1, 0.2, 0.3])
+            svetlichny_value(dense, settings)
+            max_violation(dense)
+        family = thermo_state(4, 0.3)
+        assert solves == [(8, 8)] and "data" not in vars(family)
+        spectrum = family.eigenvalues()
+        assert family.eigenvalues() is spectrum and von_neumann_entropy(family) >= 0.0
+        assert solves == [(8, 8), (16, 16)]
+        for values in (dense.eigenvalues(), spectrum):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.5
 
     def test_clamp_nonneg_at_the_slack_boundary(self):
         assert clamp_nonneg(0.25, "discord") == 0.25
@@ -94,6 +125,23 @@ class TestTypes:
     def test_qubit_cap(self):
         with pytest.raises(QubitCapError):
             DensityMatrix(13, np.eye(2**13) / 2**13)
+
+    def test_the_cap_is_checked_before_the_matrix_is_allocated(self, monkeypatch):
+        """`maximally_mixed(40)` raised numpy's "array is too big" and `tensor` of two 7-qubit states
+        allocated 4 GB before the cap fired; with `np.eye` and `np.kron` refused, nothing is built."""
+        seven = thermo_state(7, 0.3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("4^n matrix allocated before the qubit cap")
+
+        monkeypatch.setattr(np, "eye", refuse)
+        monkeypatch.setattr(np, "kron", refuse)
+        for n in (13, 40):
+            with pytest.raises(QubitCapError):
+                DensityMatrix.maximally_mixed(n)
+        with pytest.raises(QubitCapError):
+            tensor(seven, seven)
+        assert "data" not in vars(seven)
 
     def test_a_bool_is_not_a_qubit_count(self):
         with pytest.raises(ValueError, match="qubit count must be an integer >= 1"):
@@ -394,6 +442,16 @@ class TestConstructionRejectsBadInput:
     def test_non_power_of_two_matrix_rejected(self):
         with pytest.raises(ValueError, match="length 3 is not a positive power of two"):
             DensityMatrix.from_matrix(np.eye(3) / 3)
+
+    @pytest.mark.parametrize("name", sorted(NON_PSD))
+    def test_a_non_psd_matrix_is_rejected_at_construction(self, name):
+        """Every measure used to take these as states; the Svetlichny maxima read 0.990 and 1.741 on the
+        two 3-qubit ones, whose antidiagonal cannot show the negative eigenvalue."""
+        mat = NON_PSD[name]
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            DensityMatrix(len(mat).bit_length() - 1, mat)
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            DensityMatrix.from_matrix(mat)
 
 
 def _w_with_phases(n):

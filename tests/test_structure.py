@@ -5,7 +5,9 @@ information from the genuine report, one binomial table, one Kronecker fold,
 three builders of an `XState` and one corner-conjugate rule, no grid chunking
 in the angle search, one version number, a `sweep` command whose every flag
 lands in `SweepSpec` or names the output, no `strict` or `mode` parameter, no
-source line wider than 109 columns, and a pinned public API."""
+source line wider than 109 columns, a pinned public API, `np.linalg.eigvalsh`
+called only in `qstate` (a state's one spectrum and the branch batch of
+`conditional_entropy`), and no `eigenvalues` call in `nonlocality`."""
 
 import ast
 import dataclasses
@@ -232,6 +234,15 @@ def test_the_corner_conjugate_is_written_once():
     build and the Svetlichny corner entries both read."""
     conjugates = [call for name in ("conjugate", "conj") for call in _calls(name) if "corner" in (call[2] or "")]
     assert conjugates == [("qstate", "corner_pair", "corner")]
+
+
+def test_one_eigensolve_per_state():
+    """A state's spectrum is solved once, by `qstate._spectrum`, which the dense constructor and a `from_x`
+    state's first `eigenvalues` call run; the only other `eigvalsh` is the branch batch of
+    `conditional_entropy`.  `nonlocality` reads no spectrum: a state is positive once it is made."""
+    assert sorted(_calls("eigvalsh")) == [("qstate", "_spectrum", "np.linalg"),
+                                          ("qstate", "measure", "np.linalg")]
+    assert [call for call in _calls("eigenvalues") if call[0] == "nonlocality"] == []
 
 
 def test_optim_defines_no_chunk_constant():

@@ -1,6 +1,6 @@
-"""State families held in X form: the dense matrix built on first read, O(n) validation at construction, X-class
-positivity (and every measure's positivity check of a dense matrix), the pure GHZ state as its outer product, and
-measures that never build, scan or symmetry-check a family state."""
+"""State families held in X form: the dense matrix and its spectrum built on first read, O(n) validation
+at construction, X-class positivity, the pure GHZ state as its outer product, and measures that never
+build, scan or symmetry-check a family state."""
 
 import math
 import sys
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from symcorr.cli import main
 from symcorr.genuine import bipartite_discord, genuine_correlations
 from symcorr.global_discord import global_discord, global_discord_thermo_analytic
-from symcorr.nonlocality import SettingsTable, correlation, max_violation, svetlichny_value
+from symcorr.nonlocality import max_violation, svetlichny_value
 from symcorr.qstate import Cut, DensityMatrix, XState
 from symcorr.states import ghz_ad_closed, ghz_pd_closed, ghz_state, thermo_state
 from symcorr.xstate import symmetric_view, x_form
@@ -89,24 +89,29 @@ def test_x_states_compare_and_hash_by_identity():
 
 
 def test_threads_reading_one_state_get_one_matrix():
-    """Eight readers on two cores, switching every microsecond: a lost update would hand out two arrays."""
+    """Eight readers on two cores, switching every microsecond: a lost update would hand out two arrays.
+    Half read the spectrum first, which builds the matrix under the same lock."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for p0 in (0.1, 0.3, 0.7):
-            rho, seen, start = thermo_state(8, p0), [], threading.Barrier(8)
+            rho, seen, spectra, start = thermo_state(8, p0), [], [], threading.Barrier(8)
 
-            def read():
+            def read(spectrum_first):
                 start.wait(timeout=10)
+                if spectrum_first:
+                    spectra.append(rho.eigenvalues())
                 seen.append(rho.data)
+                spectra.append(rho.eigenvalues())
 
-            threads = [threading.Thread(target=read) for _ in range(8)]
+            threads = [threading.Thread(target=read, args=(i % 2,)) for i in range(8)]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=10)
             assert not any(thread.is_alive() for thread in threads)
             assert len(seen) == 8 and all(data is seen[0] for data in seen)
+            assert len(spectra) == 12 and all(spectrum is spectra[0] for spectrum in spectra)
     finally:
         sys.setswitchinterval(interval)
 
@@ -184,38 +189,6 @@ def test_a_corner_past_sqrt_p0_pn_raises_at_construction(form, excess, phase):
 def test_a_negative_population_raises_at_construction():
     with pytest.raises(ValueError, match="not positive semidefinite"):
         DensityMatrix.from_x(2, [0.5, -0.05, 0.6], 0.0)
-
-
-def _non_psd_x_matrix():
-    """3-qubit X matrix with |c|^2 > p_0 p_3: Hermitian with unit trace, so the dense constructor admits it."""
-    data = np.diag([0.2, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.2]).astype(complex)
-    data[0, -1] = data[-1, 0] = 0.35
-    return DensityMatrix(3, data)
-
-
-def test_x_form_of_a_dense_matrix_rejects_a_non_psd_form():
-    rho = _non_psd_x_matrix()
-    for call in (x_form, genuine_correlations, global_discord):
-        with pytest.raises(ValueError, match="not positive semidefinite"):
-            call(rho)
-
-
-def _non_psd_ghz_minus_plus():
-    """1.3 GHZ - 0.3 |+++><+++|: Hermitian with unit trace and permutation invariant, but not an X state."""
-    plus = np.full(8, 8**-0.5)
-    return DensityMatrix(3, 1.3 * ghz_state(3, 1.0 / math.sqrt(2.0)).data - 0.3 * np.outer(plus, plus))
-
-
-@pytest.mark.parametrize("make", [_non_psd_x_matrix, _non_psd_ghz_minus_plus], ids=["x", "non-x"])
-def test_a_non_psd_dense_state_is_rejected_by_every_measure(make):
-    """The Svetlichny functions too, which returned 0.990 and 1.741 as maxima: the antidiagonal they read
-    cannot show the negative eigenvalue."""
-    rho = make()
-    settings = SettingsTable(((0.0, math.pi / 2.0),) * 3)
-    for call in (genuine_correlations, global_discord, max_violation, lambda r: svetlichny_value(r, settings),
-                 lambda r: correlation(r, [0.0] * 3)):
-        with pytest.raises(ValueError, match="not positive semidefinite"):
-            call(rho)
 
 
 GHZ_ALPHAS = (0.0, 0.1, 0.55, 0.6, 1.0 / math.sqrt(2.0), 0.9, 1.0)
