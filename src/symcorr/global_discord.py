@@ -96,9 +96,9 @@ def global_discord(rho: DensityMatrix) -> tuple[float, RotationAngles]:
 
     One (theta, phi) pair is shared across all qubits: X states take 64 thetas
     on their two phi branches with theta refined alone, up to the 12-qubit
-    dense cap; other invariant states a 64 x 64 grid with three golden-section
-    sweeps, whose dense scan raises `QubitCapError` above 10 qubits before any
-    grid work.  Any other state raises `ValueError`.
+    dense cap; other invariant states a 64 x 64 grid with three sweeps of
+    Brent's method, whose dense scan raises `QubitCapError` above 10 qubits
+    before any grid work.  Any other state raises `ValueError`.
     """
     value, t, p = _shared_angle_min(symmetric_view(rho, "global_discord"), rho.n_qubits)
     return value, RotationAngles.uniform(rho.n_qubits, t, p)

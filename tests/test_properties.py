@@ -2,8 +2,8 @@
 Shannon entropy, qubit-block reductions, the conditional-entropy kernel, the
 Svetlichny polynomial, the bounds 0 <= D <= MI, classical >= 0 and global
 discord >= 0 on permutation-invariant states, the X-state closed forms
-against the dense paths they replace, the grid-then-golden angle search and
-the canonical angle folds."""
+against the dense paths they replace, the grid-then-refine angle search (Brent's
+method against golden section) and the canonical angle folds."""
 
 import functools
 import importlib
@@ -37,7 +37,7 @@ from symcorr.nonlocality import (
     svetlichny_expansion,
     svetlichny_value,
 )
-from symcorr.optim import THETA_GRID, THETA_STEP, fold_angles, grid_golden_min
+from symcorr.optim import THETA_GRID, THETA_STEP, fold_angles, golden_section_min, grid_golden_min
 from symcorr.qstate import (
     Cut,
     DensityMatrix,
@@ -54,6 +54,7 @@ from symcorr.qstate import (
 )
 from symcorr.states import ghz_ad_closed, ghz_pd_closed, thermo_state
 from symcorr.xstate import DenseSymmetric, x_form
+from golden_section import golden_section
 from vectors import basis_vector, ghz_vector, pure
 
 PROPS = settings(database=None, derandomize=True, max_examples=40, deadline=None)
@@ -637,10 +638,80 @@ def test_grid_golden_min_two_axes(a, c, coupling, b, d, phi_steps):
 def test_grid_golden_min_keeps_a_lower_grid_point():
     axis = np.linspace(0.0, 1.0, 11)
 
-    def fn(points):  # smooth, but with a deep well on the grid point 0.3 that golden section cannot find
+    def fn(points):  # smooth, but with a deep well on the grid point 0.3 that the refine cannot find
         return np.where(points[0] == axis[3], -5.0, (points[0] - 0.62) ** 2)
 
     assert grid_golden_min(fn, (axis,), (0.1,)) == ([axis[3]], -5.0)
+
+
+def _refine_calls(fn):
+    """Objective calls of one `grid_golden_min` refine sweep of `fn` on `THETA_GRID` at `THETA_TOL`."""
+    sizes = []
+
+    def counted(points):
+        sizes.append(points.shape[1])
+        return fn(points)
+
+    grid_golden_min(counted, (THETA_GRID,), (THETA_STEP,), tol=THETA_TOL)
+    return len(sizes) - 1
+
+
+@PROPS
+@given(a=st.floats(0.1, 2.0), b=st.floats(0.0, 2.0 * math.pi), r=st.floats(0.0, 0.24), rho=x_states(max_n=8))
+def test_one_refine_sweep_takes_well_under_the_golden_section_count(a, b, r, rho):
+    """Golden section takes 26 calls to shrink a 2 THETA_STEP bracket to THETA_TOL.  Brent's method took
+    at most 8 on 400 of these waves, and at most 8 on the ce(theta) of 4 000 generated X-state cuts whose
+    grid neighbours of the grid minimum lie more than 1e-5 above it (mean 6.0).  A ce flatter than that
+    near its minimum, often one symmetric about pi/2 with a curvature of 1e-7 per step squared, rises by
+    less than rounding within THETA_TOL, so the parabola has nothing to fit there: it took up to 23 calls
+    and is left out."""
+    assert _refine_calls(lambda t: a * _unimodal_wave(4.0 * t[0] - b, r)) <= 10
+    x = x_form(rho)
+    for k in range(1, rho.n_qubits):
+        ce = x.conditional_entropy(k)
+        values = ce(THETA_GRID)
+        best = int(np.argmin(values))
+        neighbours = values[[j for j in (best - 1, best + 1) if 0 <= j < values.size]]
+        if neighbours.min() - values[best] > 1e-5:
+            assert _refine_calls(lambda t, ce=ce: ce(t[0])) <= 10
+
+
+@PROPS
+@given(a=st.floats(0.1, 2.0), b=st.floats(0.0, 2.0 * math.pi), r=st.floats(0.0, 0.24),
+       below=st.floats(0.01, 3.0), above=st.floats(0.01, 3.0), tol=st.sampled_from([1e-6, 1e-7, 1e-9]))
+def test_brent_is_no_worse_than_golden_section_on_unimodal_functions(a, b, r, below, above, tol):
+    """The wave's minimum lies inside the bracket, as it does in every refine bracket, one grid step either
+    side of the grid argmin of a unimodal function."""
+    lo, hi = b + math.pi - below, b + math.pi + above
+
+    def fn(x):
+        return float(a * _unimodal_wave(x - b, r))
+
+    x, value = golden_section_min(fn, lo, hi, tol)
+    assert lo <= x <= hi and value == fn(x)
+    assert value <= golden_section(fn, lo, hi, tol)[1] + 1e-12
+
+
+@settings(database=None, derandomize=True, max_examples=20, deadline=None)
+@given(rho=st.one_of(x_states(), non_x_states))
+def test_brent_refine_is_no_worse_than_golden_section_on_invariant_states(rho):
+    """Each bipartite discord, and the global discord of an X state, refines one angle: there Brent's
+    method is no worse than golden section.  The dense global discord refines two angles in three
+    coordinate sweeps, which stop short of the minimum by more than either line search misses it: on 150
+    generated dense states Brent's value lay above the reference by at most 1.0e-10 (12 of them by more
+    than 1e-12) and below it by up to 3.0e-10, and 1e-9 holds that."""
+    n = rho.n_qubits
+    cuts = [Cut.of(n, range(n - k, n)) for k in range(1, n)]
+
+    def values():
+        return [bipartite_discord(rho, cut)[0] for cut in cuts], global_discord(rho)[0]
+
+    bipartite, glob = values()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(importlib.import_module("symcorr.optim"), "golden_section_min", golden_section)
+        bipartite_ref, glob_ref = values()
+    assert all(got <= want + 1e-12 for got, want in zip(bipartite, bipartite_ref))
+    assert glob <= glob_ref + (1e-12 if x_form(rho) is not None else 1e-9)
 
 
 def _dephased(rho, theta, phi):
